@@ -17,6 +17,12 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark package: build + test"
+# benchmark/ is its own workspace, so the commands above never compile it,
+# yet it imports the engine API; build and test it so an API change that
+# breaks it fails here.
+cargo test --release -q --manifest-path benchmark/Cargo.toml
+
 echo "==> smoke: parallel strategies on g27"
 cargo run --release -p motsim-cli --bin motsim -- strategies g27 --len 40 --jobs 2
 

@@ -17,22 +17,24 @@
 //! | `bench-round-trip` | `.bench` write → parse → write is a fixpoint |
 //! | `xred-sound` | `ID_X-red` never discards a three-valued-detectable fault |
 //! | `symbolic-refines-sim3` | symbolic values agree with every known three-valued value |
+//! | `event-driven-matches-dense` | event-driven propagation computes the dense faulty frame |
 
 use crate::{forall, Config, Counterexample, SimCase};
 use motsim::engine_api::{FaultSimEngine, HybridEngine, Sim3Engine, SimConfig, SymbolicEngine};
 use motsim::exhaustive;
 use motsim::faults::FaultList;
+use motsim::frame::{eval_frame, next_state, Domain, Propagator};
 use motsim::hybrid::{HybridConfig, ReorderPolicy};
 use motsim::ordering::VarOrder;
 use motsim::pattern::TestSequence;
 use motsim::sim3::TrueSim;
-use motsim::symbolic::{eval_frame_bdd, Strategy};
-use motsim::symbolic::{eval_gate_bdd, SymbolicFaultSim, SymbolicTrueSim};
+use motsim::symbolic::{Strategy, SymbolicFaultSim, SymbolicTrueSim};
 use motsim::xred::XRedAnalysis;
 use motsim::Fault;
 use motsim_bdd::{Bdd, BddManager, VarId};
 use motsim_engine::{run_traced, EngineKind, Job};
-use motsim_netlist::{Lead, Netlist, NodeKind};
+use motsim_logic::V3;
+use motsim_netlist::{Lead, Netlist};
 use motsim_rng::SmallRng;
 use motsim_trace::CollectSink;
 
@@ -83,6 +85,10 @@ pub fn all_laws() -> Vec<Law> {
         Law {
             name: "symbolic-refines-sim3",
             run: symbolic_refines_sim3,
+        },
+        Law {
+            name: "event-driven-matches-dense",
+            run: event_driven_matches_dense,
         },
     ]
 }
@@ -338,48 +344,6 @@ enum YAlloc {
     Blocked,
 }
 
-/// Evaluates one faulty combinational frame: like
-/// [`eval_frame_bdd`], with the stuck value forced at the stem fault site.
-fn eval_frame_bdd_faulty(
-    netlist: &Netlist,
-    mgr: &BddManager,
-    state: &[Bdd],
-    inputs: &[bool],
-    fault: Fault,
-) -> Result<Vec<Bdd>, String> {
-    let forced = mgr.constant(fault.stuck);
-    let mut values = vec![mgr.zero(); netlist.num_nets()];
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        values[pi.index()] = if fault.lead == Lead::stem(pi) {
-            forced.clone()
-        } else {
-            mgr.constant(inputs[i])
-        };
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = if fault.lead == Lead::stem(q) {
-            forced.clone()
-        } else {
-            state[i].clone()
-        };
-    }
-    let mut fanin = Vec::new();
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            unreachable!("eval order contains only gates")
-        };
-        fanin.clear();
-        fanin.extend(net.fanin().iter().map(|f| values[f.index()].clone()));
-        values[g.index()] = if fault.lead == Lead::stem(g) {
-            forced.clone()
-        } else {
-            eval_gate_bdd(mgr, kind, &fanin).map_err(bdd_err)?
-        };
-    }
-    Ok(values)
-}
-
 /// Computes MOT detectability of a stem fault from first principles:
 /// `D(x,y) = ∏_t ∏_j [o_j(x,t) ≡ o_j^f(y,t)]`, detected iff `D ≡ 0`.
 fn direct_mot_detected(
@@ -403,9 +367,10 @@ fn direct_mot_detected(
     let mut good: Vec<Bdd> = xv.iter().map(|&v| mgr.var(v)).collect();
     let mut bad: Vec<Bdd> = yv.iter().map(|&v| mgr.var(v)).collect();
     let mut det = mgr.one();
+    let (mut gvals, mut bvals) = (Vec::new(), Vec::new());
     for inputs in seq {
-        let gvals = eval_frame_bdd(netlist, &mgr, &good, inputs).map_err(bdd_err)?;
-        let bvals = eval_frame_bdd_faulty(netlist, &mgr, &bad, inputs, fault)?;
+        eval_frame(netlist, &mgr, &good, inputs, None, &mut gvals).map_err(bdd_err)?;
+        eval_frame(netlist, &mgr, &bad, inputs, Some(fault), &mut bvals).map_err(bdd_err)?;
         for &o in netlist.outputs() {
             let term = gvals[o.index()].equiv(&bvals[o.index()]).map_err(bdd_err)?;
             det = det.and(&term).map_err(bdd_err)?;
@@ -413,16 +378,8 @@ fn direct_mot_detected(
                 return Ok(true);
             }
         }
-        good = netlist
-            .dffs()
-            .iter()
-            .map(|&q| gvals[netlist.dff_d(q).index()].clone())
-            .collect();
-        bad = netlist
-            .dffs()
-            .iter()
-            .map(|&q| bvals[netlist.dff_d(q).index()].clone())
-            .collect();
+        next_state(netlist, &mgr, &gvals, None, &mut good);
+        next_state(netlist, &mgr, &bvals, Some(fault), &mut bad);
     }
     Ok(det.is_false())
 }
@@ -542,6 +499,107 @@ fn symbolic_refines_sim3(case: &SimCase) -> Result<(), String> {
     Ok(())
 }
 
+/// The event-driven [`Propagator`] computes exactly the dense faulty
+/// frame: for faults of all four lead shapes, every net's faulty value and
+/// the faulty next state agree with a full `eval_frame(Some(fault))` pass,
+/// frame by frame, in both the three-valued and the OBDD domain; and its
+/// event count is its number of marked nets. (The injection rule itself is
+/// checked against the independent `simb` by `oracle-agreement`.)
+fn event_driven_matches_dense(case: &SimCase) -> Result<(), String> {
+    let netlist = &case.netlist;
+    let mgr = BddManager::new();
+    let xs: Vec<Bdd> = (0..netlist.num_dffs()).map(|_| mgr.new_var()).collect();
+    for fault in lead_shape_faults(case) {
+        let unknown = vec![V3::X; netlist.num_dffs()];
+        propagator_matches_dense(netlist, &case.seq, &V3::X, unknown, fault)?;
+        propagator_matches_dense(netlist, &case.seq, &mgr, xs.clone(), fault)?;
+    }
+    Ok(())
+}
+
+/// The case's faults plus up to three of each lead shape — source stem,
+/// gate-output stem, gate input pin, flip-flop D pin — spread over all
+/// leads, with alternating stuck values.
+fn lead_shape_faults(case: &SimCase) -> Vec<Fault> {
+    let n = &case.netlist;
+    let shape = |l: &Lead| match l.sink {
+        None => usize::from(n.net(l.net).kind().is_gate()),
+        Some((sink, _)) => 2 + usize::from(!n.net(sink).kind().is_gate()),
+    };
+    let leads: Vec<Lead> = n
+        .net_ids()
+        .flat_map(|id| {
+            let branches = n.fanout(id).iter();
+            std::iter::once(Lead::stem(id))
+                .chain(branches.map(move |&(sink, pin)| Lead::branch(id, sink, pin)))
+        })
+        .collect();
+    let mut faults = case.faults.clone();
+    for s in 0..4 {
+        let of_shape: Vec<Lead> = leads.iter().copied().filter(|l| shape(l) == s).collect();
+        let picks = of_shape.iter().step_by(of_shape.len() / 3 + 1);
+        faults.extend(picks.enumerate().map(|(i, &lead)| Fault {
+            lead,
+            stuck: i % 2 == 1,
+        }));
+    }
+    faults
+}
+
+/// Runs `fault` through `seq` from `init` both ways in domain `dom`.
+fn propagator_matches_dense<D: Domain>(
+    netlist: &Netlist,
+    seq: &TestSequence,
+    dom: &D,
+    init: Vec<D::Value>,
+    fault: Fault,
+) -> Result<(), String>
+where
+    D::Error: std::fmt::Display,
+{
+    let err = |e: D::Error| format!("unexpected domain error: {e}");
+    let name = fault.display(netlist);
+    let mut prop = Propagator::new(netlist);
+    let (mut good_state, mut faulty_state) = (init.clone(), init);
+    let (mut good, mut dense) = (Vec::new(), Vec::new());
+    let (mut dense_next, mut sparse_next) = (Vec::new(), Vec::new());
+    for (t, inputs) in seq.iter().enumerate() {
+        eval_frame(netlist, dom, &good_state, inputs, None, &mut good).map_err(err)?;
+        eval_frame(netlist, dom, &faulty_state, inputs, Some(fault), &mut dense).map_err(err)?;
+        let pass = prop
+            .propagate(netlist, dom, &good, &good_state, &faulty_state, fault)
+            .map_err(err)?;
+        if let Some(id) = netlist
+            .net_ids()
+            .find(|&id| *pass.value(id) != dense[id.index()])
+        {
+            return fail(format!(
+                "frame {t}, fault {name}: event-driven value of net {} differs from \
+                 the dense frame",
+                netlist.net(id).name()
+            ));
+        }
+        let marked = netlist.net_ids().filter(|&id| pass.is_dirty(id)).count();
+        if pass.events() != marked {
+            return fail(format!(
+                "frame {t}, fault {name}: {} event(s) reported for {marked} marked net(s)",
+                pass.events()
+            ));
+        }
+        pass.next_state(dom, &mut sparse_next);
+        drop(pass);
+        next_state(netlist, dom, &dense, Some(fault), &mut dense_next);
+        if sparse_next != dense_next {
+            return fail(format!(
+                "frame {t}, fault {name}: event-driven next state differs from the dense one"
+            ));
+        }
+        std::mem::swap(&mut faulty_state, &mut dense_next);
+        next_state(netlist, dom, &good, None, &mut good_state);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,7 +607,7 @@ mod tests {
     #[test]
     fn law_list_is_stable() {
         let names: Vec<&str> = all_laws().iter().map(|l| l.name).collect();
-        assert_eq!(names.len(), 9);
+        assert_eq!(names.len(), 10);
         assert!(names.contains(&"oracle-agreement"));
         assert!(names.contains(&"lemma1-rename-invariance"));
     }

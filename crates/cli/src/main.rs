@@ -74,7 +74,8 @@ options: --len N  --seed S  --limit NODES  --max-len N  --complete
          --units N  (fixed work-unit count for sim3/strategies; default 0 =
                     auto-sized. More units mean fewer faults — and smaller
                     BDDs — per unit, which shifts where the hybrid node
-                    limit bites; verdicts stay identical for every N)
+                    limit bites, so hybrid verdicts can change with N — see
+                    DESIGN.md §8; exact and three-valued verdicts do not)
          --reorder none|sift  (response to symbolic node-limit pressure in
                     hybrid runs: `sift` tries one dynamic-reordering pass
                     before the three-valued fallback; default `none`)

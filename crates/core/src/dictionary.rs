@@ -23,8 +23,8 @@ use motsim_logic::V3;
 use motsim_netlist::Netlist;
 
 use crate::faults::Fault;
+use crate::frame::{eval_frame, next_state};
 use crate::pattern::TestSequence;
-use crate::sim3::eval_frame;
 
 /// An observation point: output `output` at frame `frame` shows a value
 /// different from the fault-free circuit.
@@ -63,7 +63,7 @@ impl FaultDictionary {
         let mut tvals = Vec::new();
         let mut reference: Vec<Vec<V3>> = Vec::with_capacity(seq.len());
         for v in seq {
-            eval_frame(netlist, &tstate, v, &mut tvals);
+            let Ok(()) = eval_frame(netlist, &V3::X, &tstate, v, None, &mut tvals);
             reference.push(
                 netlist
                     .outputs()
@@ -71,9 +71,7 @@ impl FaultDictionary {
                     .map(|&o| tvals[o.index()])
                     .collect(),
             );
-            for (i, &q) in netlist.dffs().iter().enumerate() {
-                tstate[i] = tvals[netlist.dff_d(q).index()];
-            }
+            next_state(netlist, &V3::X, &tvals, None, &mut tstate);
         }
 
         let entries = faults
@@ -169,14 +167,14 @@ fn signature(
     let mut fvals = Vec::new();
     let mut sig = BTreeSet::new();
     for (t, v) in seq.iter().enumerate() {
-        crate::sim3::eval_frame_with_fault(netlist, &fstate, v, fault, &mut fvals);
+        let Ok(()) = eval_frame(netlist, &V3::X, &fstate, v, Some(fault), &mut fvals);
         for (j, &o) in netlist.outputs().iter().enumerate() {
             let (tv, fv) = (reference[t][j], fvals[o.index()]);
             if tv.is_known() && fv.is_known() && tv != fv {
                 sig.insert((t, j));
             }
         }
-        crate::sim3::next_state_with_fault(netlist, &fvals, fault, &mut fstate);
+        next_state(netlist, &V3::X, &fvals, Some(fault), &mut fstate);
     }
     sig
 }

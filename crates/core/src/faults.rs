@@ -294,7 +294,7 @@ mod tests {
         let fl = FaultList::collapsed(&n);
         assert_eq!(fl.len(), 2);
         let a = n.find("A").unwrap();
-        assert!(fl.iter().all(|f| f.lead == Lead::stem(a)));
+        assert!(fl.iter().all(|f| f.lead.is_stem() && f.lead.net == a));
         assert_eq!(fl.complete_len(), 6);
     }
 
@@ -325,8 +325,8 @@ mod tests {
         assert_eq!(fl.len(), 4);
         let z = n.find("Z").unwrap();
         // Z/1 must have been merged away (A/0 is the representative).
-        assert!(!fl.iter().any(|f| f.lead == Lead::stem(z) && f.stuck));
-        assert!(fl.iter().any(|f| f.lead == Lead::stem(z) && !f.stuck));
+        assert!(!fl.iter().any(|&f| f == Fault::stuck_at_1(Lead::stem(z))));
+        assert!(fl.iter().any(|&f| f == Fault::stuck_at_0(Lead::stem(z))));
     }
 
     #[test]

@@ -79,6 +79,7 @@ pub mod dictionary;
 pub mod engine_api;
 pub mod exhaustive;
 pub mod faults;
+pub mod frame;
 pub mod hybrid;
 pub mod ordering;
 pub mod pattern;

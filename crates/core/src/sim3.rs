@@ -9,11 +9,12 @@
 //! *lower bound* on the true fault coverage — that gap is what the symbolic
 //! engines close.
 
-use motsim_logic::{eval_gate, V3};
-use motsim_netlist::{Lead, NetId, Netlist, NodeKind};
+use motsim_logic::V3;
+use motsim_netlist::{NetId, Netlist};
 use motsim_trace::{TraceEvent, TraceSink};
 
 use crate::faults::Fault;
+use crate::frame::{self, Propagator};
 use crate::pattern::TestSequence;
 use crate::report::{Detection, FaultOutcome, SimOutcome};
 
@@ -44,10 +45,9 @@ impl<'a> TrueSim<'a> {
     ///
     /// Panics if `inputs` does not match the circuit's input count.
     pub fn step(&mut self, inputs: &[bool]) {
-        eval_frame(self.netlist, &self.state, inputs, &mut self.values);
-        for (i, &q) in self.netlist.dffs().iter().enumerate() {
-            self.state[i] = self.values[self.netlist.dff_d(q).index()];
-        }
+        let n = self.netlist;
+        let Ok(()) = frame::eval_frame(n, &V3::X, &self.state, inputs, None, &mut self.values);
+        frame::next_state(n, &V3::X, &self.values, None, &mut self.state);
         self.frame += 1;
     }
 
@@ -92,107 +92,6 @@ impl<'a> TrueSim<'a> {
     }
 }
 
-/// Evaluates one combinational frame into `values` (indexed by net).
-///
-/// # Panics
-///
-/// Panics if `inputs`/`state` lengths do not match the circuit.
-pub fn eval_frame(netlist: &Netlist, state: &[V3], inputs: &[bool], values: &mut Vec<V3>) {
-    assert_eq!(inputs.len(), netlist.num_inputs(), "input width mismatch");
-    assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
-    values.clear();
-    values.resize(netlist.num_nets(), V3::X);
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        values[pi.index()] = V3::from_bool(inputs[i]);
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = state[i];
-    }
-    let mut fanin_buf: Vec<V3> = Vec::with_capacity(8);
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            unreachable!("eval order contains only gates")
-        };
-        fanin_buf.clear();
-        fanin_buf.extend(net.fanin().iter().map(|f| values[f.index()]));
-        values[g.index()] = eval_gate(kind, &fanin_buf);
-    }
-}
-
-/// Evaluates one combinational frame of the *faulty* machine by full
-/// re-simulation with the stuck-at overrides applied (stem forcing at the
-/// site, branch forcing at the sink pin). The event-driven simulator in
-/// [`FaultSim3`] computes the same values sparsely; this dense variant is
-/// the reference implementation shared by the fault dictionary, the VCD
-/// dumper and the benchmark baselines.
-///
-/// # Panics
-///
-/// Panics if `inputs`/`state` lengths do not match the circuit.
-pub fn eval_frame_with_fault(
-    netlist: &Netlist,
-    state: &[V3],
-    inputs: &[bool],
-    fault: Fault,
-    values: &mut Vec<V3>,
-) {
-    assert_eq!(inputs.len(), netlist.num_inputs(), "input width mismatch");
-    assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
-    let forced = V3::from_bool(fault.stuck);
-    values.clear();
-    values.resize(netlist.num_nets(), V3::X);
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        values[pi.index()] = V3::from_bool(inputs[i]);
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = state[i];
-    }
-    // Stem fault on a source (input or flip-flop output).
-    if fault.lead.sink.is_none() && !netlist.net(fault.lead.net).kind().is_gate() {
-        values[fault.lead.net.index()] = forced;
-    }
-    let mut buf: Vec<V3> = Vec::with_capacity(8);
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            continue;
-        };
-        buf.clear();
-        for (pin, &f) in net.fanin().iter().enumerate() {
-            let mut v = values[f.index()];
-            if fault.lead == Lead::branch(f, g, pin as u32) {
-                v = forced;
-            }
-            buf.push(v);
-        }
-        let mut out = eval_gate(kind, &buf);
-        if fault.lead == Lead::stem(g) {
-            out = forced;
-        }
-        values[g.index()] = out;
-    }
-}
-
-/// Advances the faulty present state after [`eval_frame_with_fault`]
-/// (applies the D-pin branch forcing).
-///
-/// # Panics
-///
-/// Panics if `state` does not match the flip-flop count.
-pub fn next_state_with_fault(netlist: &Netlist, values: &[V3], fault: Fault, state: &mut [V3]) {
-    assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
-    let forced = V3::from_bool(fault.stuck);
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        let d = netlist.dff_d(q);
-        let mut v = values[d.index()];
-        if fault.lead == Lead::branch(d, q, 0) {
-            v = forced;
-        }
-        state[i] = v;
-    }
-}
-
 #[derive(Debug, Clone)]
 struct FaultRecord {
     fault: Fault,
@@ -226,12 +125,7 @@ pub struct FaultSim3<'a> {
     netlist: &'a Netlist,
     truesim: TrueSim<'a>,
     records: Vec<FaultRecord>,
-    // Scratch (reused across faults/frames):
-    fval: Vec<V3>,
-    fstamp: Vec<u32>,
-    stamp: u32,
-    queued: Vec<u32>,
-    buckets: Vec<Vec<NetId>>,
+    prop: Propagator<V3>,
     frame: usize,
     trace_offset: usize,
 }
@@ -248,17 +142,11 @@ impl<'a> FaultSim3<'a> {
                 detection: None,
             })
             .collect();
-        let nets = netlist.num_nets();
-        let depth = netlist.depth() as usize;
         FaultSim3 {
             netlist,
             truesim: TrueSim::new(netlist),
             records,
-            fval: vec![V3::X; nets],
-            fstamp: vec![0; nets],
-            stamp: 0,
-            queued: vec![0; nets],
-            buckets: vec![Vec::new(); depth + 1],
+            prop: Propagator::new(netlist),
             frame: 0,
             trace_offset: 0,
         }
@@ -373,15 +261,34 @@ impl<'a> FaultSim3<'a> {
         let prev_state: Vec<V3> = self.truesim.state().to_vec();
         self.truesim.step(inputs);
         let mut newly = Vec::new();
-        // Move records out to appease the borrow checker (cheap: Vec move).
-        let mut records = std::mem::take(&mut self.records);
-        for rec in records.iter_mut().filter(|r| r.detection.is_none()) {
-            if let Some(det) = self.simulate_fault_frame(rec, &prev_state) {
+        for rec in self.records.iter_mut().filter(|r| r.detection.is_none()) {
+            let Ok(pass) = self.prop.propagate(
+                self.netlist,
+                &V3::X,
+                self.truesim.values(),
+                &prev_state,
+                &rec.state,
+                rec.fault,
+            );
+            // Observation: three-valued SOT rule.
+            let detection = self
+                .netlist
+                .outputs()
+                .iter()
+                .enumerate()
+                .find_map(|(j, &o)| {
+                    let (tv, fv) = (self.truesim.value(o), *pass.value(o));
+                    (tv.is_known() && fv.is_known() && tv != fv).then_some(Detection {
+                        frame: self.frame,
+                        output: j,
+                    })
+                });
+            pass.next_state(&V3::X, &mut rec.state);
+            if let Some(det) = detection {
                 rec.detection = Some(det);
                 newly.push((rec.fault, det));
             }
         }
-        self.records = records;
         self.frame += 1;
         newly
     }
@@ -404,138 +311,6 @@ impl<'a> FaultSim3<'a> {
         }
         newly
     }
-
-    /// Effective faulty value of a net for the current fault pass.
-    #[inline]
-    fn faulty_value(&self, n: NetId) -> V3 {
-        if self.fstamp[n.index()] == self.stamp {
-            self.fval[n.index()]
-        } else {
-            self.truesim.values()[n.index()]
-        }
-    }
-
-    fn set_faulty(&mut self, n: NetId, v: V3) {
-        self.fval[n.index()] = v;
-        self.fstamp[n.index()] = self.stamp;
-    }
-
-    fn enqueue_sinks(&mut self, n: NetId) {
-        let netlist = self.netlist;
-        for &(sink, _) in netlist.fanout(n) {
-            if netlist.net(sink).kind().is_gate() && self.queued[sink.index()] != self.stamp {
-                self.queued[sink.index()] = self.stamp;
-                self.buckets[netlist.level(sink) as usize].push(sink);
-            }
-        }
-    }
-
-    /// Runs one frame of the faulty machine `rec` against the already
-    /// simulated fault-free frame; updates the faulty state and returns a
-    /// detection if a primary output exposes the fault.
-    fn simulate_fault_frame(
-        &mut self,
-        rec: &mut FaultRecord,
-        prev_true_state: &[V3],
-    ) -> Option<Detection> {
-        let netlist = self.netlist;
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // Extremely rare wrap: invalidate all stamps.
-            self.fstamp.fill(u32::MAX);
-            self.queued.fill(u32::MAX);
-            self.stamp = 1;
-        }
-        for b in &mut self.buckets {
-            b.clear();
-        }
-
-        // Seed 1: flip-flops whose faulty state differs from the fault-free
-        // present state of this frame.
-        for (i, &q) in netlist.dffs().iter().enumerate() {
-            if rec.state[i] != prev_true_state[i] {
-                self.set_faulty(q, rec.state[i]);
-                self.enqueue_sinks(q);
-            }
-        }
-        // Seed 2: the fault site.
-        let forced = V3::from_bool(rec.fault.stuck);
-        match rec.fault.lead.sink {
-            None => {
-                let n = rec.fault.lead.net;
-                self.set_faulty(n, forced);
-                if self.truesim.values()[n.index()] != forced {
-                    self.enqueue_sinks(n);
-                }
-            }
-            Some((sink, _)) => {
-                // Branch fault: the sink re-evaluates with the forced pin.
-                if netlist.net(sink).kind().is_gate() && self.queued[sink.index()] != self.stamp {
-                    self.queued[sink.index()] = self.stamp;
-                    self.buckets[netlist.level(sink) as usize].push(sink);
-                }
-                // A branch fault into a flip-flop D pin is handled at the
-                // state-update step below.
-            }
-        }
-
-        // Event-driven propagation in level order.
-        let mut fanin_buf: Vec<V3> = Vec::with_capacity(8);
-        for lvl in 0..self.buckets.len() {
-            let mut idx = 0;
-            while idx < self.buckets[lvl].len() {
-                let g = self.buckets[lvl][idx];
-                idx += 1;
-                let net = netlist.net(g);
-                let NodeKind::Gate(kind) = net.kind() else {
-                    continue;
-                };
-                fanin_buf.clear();
-                for (pin, &f) in net.fanin().iter().enumerate() {
-                    let mut v = self.faulty_value(f);
-                    if rec.fault.lead == Lead::branch(f, g, pin as u32) {
-                        v = forced;
-                    }
-                    fanin_buf.push(v);
-                }
-                let mut out = eval_gate(kind, &fanin_buf);
-                if rec.fault.lead == Lead::stem(g) {
-                    out = forced;
-                }
-                if out != self.faulty_value(g) {
-                    self.set_faulty(g, out);
-                    self.enqueue_sinks(g);
-                }
-            }
-        }
-
-        // Observation: three-valued SOT rule.
-        let mut detection = None;
-        for (j, &o) in netlist.outputs().iter().enumerate() {
-            let tv = self.truesim.values()[o.index()];
-            let fv = self.faulty_value(o);
-            if tv.is_known() && fv.is_known() && tv != fv {
-                detection = Some(Detection {
-                    frame: self.frame,
-                    output: j,
-                });
-                break;
-            }
-        }
-
-        // Faulty next state.
-        for (i, &q) in netlist.dffs().iter().enumerate() {
-            let d = netlist.dff_d(q);
-            let mut v = self.faulty_value(d);
-            // Branch fault directly on this D pin forces the stored value.
-            if rec.fault.lead == Lead::branch(d, q, 0) {
-                v = forced;
-            }
-            rec.state[i] = v;
-        }
-
-        detection
-    }
 }
 
 #[cfg(test)]
@@ -543,7 +318,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultList;
     use motsim_netlist::builder::NetlistBuilder;
-    use motsim_netlist::GateKind;
+    use motsim_netlist::{GateKind, Lead};
 
     /// Z = NAND(A, Q); Q = DFF(Z) — tiny oscillating circuit.
     fn nand_loop() -> Netlist {
@@ -657,75 +432,21 @@ mod tests {
     /// with the event-driven simulator.
     fn full_resim_detects(netlist: &Netlist, fault: Fault, seq: &TestSequence) -> bool {
         let mut tstate = vec![V3::X; netlist.num_dffs()];
-        let mut fstate = vec![V3::X; netlist.num_dffs()];
-        let mut tvals = Vec::new();
-        let mut fvals = Vec::new();
+        let mut fstate = tstate.clone();
+        let (mut tvals, mut fvals) = (Vec::new(), Vec::new());
         for v in seq {
-            eval_frame(netlist, &tstate, v, &mut tvals);
-            eval_frame_with_fault(netlist, &fstate, v, fault, &mut fvals);
+            let Ok(()) = frame::eval_frame(netlist, &V3::X, &tstate, v, None, &mut tvals);
+            let Ok(()) = frame::eval_frame(netlist, &V3::X, &fstate, v, Some(fault), &mut fvals);
             for &o in netlist.outputs() {
                 let (tv, fv) = (tvals[o.index()], fvals[o.index()]);
                 if tv.is_known() && fv.is_known() && tv != fv {
                     return true;
                 }
             }
-            for (i, &q) in netlist.dffs().iter().enumerate() {
-                tstate[i] = tvals[netlist.dff_d(q).index()];
-                let d = netlist.dff_d(q);
-                let mut nv = fvals[d.index()];
-                if fault.lead == Lead::branch(d, q, 0) {
-                    nv = V3::from_bool(fault.stuck);
-                }
-                fstate[i] = nv;
-            }
+            frame::next_state(netlist, &V3::X, &tvals, None, &mut tstate);
+            frame::next_state(netlist, &V3::X, &fvals, Some(fault), &mut fstate);
         }
         false
-    }
-
-    /// Reference faulty-frame evaluation: full pass with overrides.
-    fn eval_frame_with_fault(
-        netlist: &Netlist,
-        state: &[V3],
-        inputs: &[bool],
-        fault: Fault,
-        values: &mut Vec<V3>,
-    ) {
-        values.clear();
-        values.resize(netlist.num_nets(), V3::X);
-        let forced = V3::from_bool(fault.stuck);
-        for (i, &pi) in netlist.inputs().iter().enumerate() {
-            values[pi.index()] = V3::from_bool(inputs[i]);
-        }
-        for (i, &q) in netlist.dffs().iter().enumerate() {
-            values[q.index()] = state[i];
-        }
-        // Apply stem forcing on sources.
-        if fault.lead.sink.is_none() {
-            let n = fault.lead.net;
-            if !netlist.net(n).kind().is_gate() {
-                values[n.index()] = forced;
-            }
-        }
-        let mut buf = Vec::new();
-        for &g in netlist.eval_order() {
-            let net = netlist.net(g);
-            let NodeKind::Gate(kind) = net.kind() else {
-                continue;
-            };
-            buf.clear();
-            for (pin, &f) in net.fanin().iter().enumerate() {
-                let mut v = values[f.index()];
-                if fault.lead == Lead::branch(f, g, pin as u32) {
-                    v = forced;
-                }
-                buf.push(v);
-            }
-            let mut out = eval_gate(kind, &buf);
-            if fault.lead == Lead::stem(g) {
-                out = forced;
-            }
-            values[g.index()] = out;
-        }
     }
 
     #[test]

@@ -113,8 +113,8 @@ pub fn lane(words: &[u64], k: usize) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame;
     use crate::pattern::TestSequence;
-    use crate::sim3;
     use motsim_logic::V3;
 
     /// Boolean lanes must agree with the three-valued simulator when the
@@ -143,16 +143,14 @@ mod tests {
         let mut v3vals = Vec::new();
         for v in seq.iter() {
             eval_frame_u64(&n, &state, &broadcast(v), None, &mut values);
-            sim3::eval_frame(&n, &v3state, v, &mut v3vals);
+            let Ok(()) = frame::eval_frame(&n, &V3::X, &v3state, v, None, &mut v3vals);
             for id in n.net_ids() {
                 let expect = v3vals[id.index()].to_bool().expect("fully known");
                 let got = (values[id.index()] >> 5) & 1 == 1;
                 assert_eq!(got, expect, "net {}", n.net(id).name());
             }
             next_state_u64(&n, &values, None, &mut state);
-            for (i, &q) in n.dffs().iter().enumerate() {
-                v3state[i] = v3vals[n.dff_d(q).index()];
-            }
+            frame::next_state(&n, &V3::X, &v3vals, None, &mut v3state);
         }
     }
 

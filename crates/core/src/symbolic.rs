@@ -30,10 +30,11 @@
 
 use motsim_bdd::{Bdd, BddError, BddManager, VarId};
 use motsim_logic::V3;
-use motsim_netlist::{GateKind, Lead, NetId, Netlist, NodeKind};
+use motsim_netlist::{GateKind, Netlist};
 use motsim_trace::{TraceEvent, TraceSink};
 
 use crate::faults::Fault;
+use crate::frame::{self, Propagator};
 use crate::pattern::TestSequence;
 use crate::report::{BddUsage, Detection, FaultOutcome, SimOutcome};
 
@@ -169,13 +170,7 @@ impl<'a> SymbolicTrueSim<'a> {
     /// Fails with [`BddError::NodeLimit`] if the manager's node limit is
     /// hit; the simulator state is unchanged in that case.
     pub fn step(&mut self, inputs: &[bool]) -> Result<(), BddError> {
-        let values = eval_frame_bdd(self.netlist, &self.mgr, &self.state, inputs)?;
-        let next: Vec<Bdd> = self
-            .netlist
-            .dffs()
-            .iter()
-            .map(|&q| values[self.netlist.dff_d(q).index()].clone())
-            .collect();
+        let (values, next) = good_frame(self.netlist, &self.mgr, &self.state, inputs)?;
         self.values = values;
         self.state = next;
         self.frame += 1;
@@ -207,37 +202,18 @@ impl<'a> SymbolicTrueSim<'a> {
     }
 }
 
-/// Evaluates one combinational frame symbolically.
-///
-/// # Errors
-///
-/// Fails with [`BddError::NodeLimit`] if the manager's node limit is hit.
-pub fn eval_frame_bdd(
+/// The fault-free frame from `state`: the value of every net, and the next
+/// state.
+fn good_frame(
     netlist: &Netlist,
     mgr: &BddManager,
     state: &[Bdd],
     inputs: &[bool],
-) -> Result<Vec<Bdd>, BddError> {
-    assert_eq!(inputs.len(), netlist.num_inputs(), "input width mismatch");
-    assert_eq!(state.len(), netlist.num_dffs(), "state width mismatch");
-    let mut values = vec![mgr.zero(); netlist.num_nets()];
-    for (i, &pi) in netlist.inputs().iter().enumerate() {
-        values[pi.index()] = mgr.constant(inputs[i]);
-    }
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        values[q.index()] = state[i].clone();
-    }
-    let mut fanin_buf: Vec<Bdd> = Vec::with_capacity(8);
-    for &g in netlist.eval_order() {
-        let net = netlist.net(g);
-        let NodeKind::Gate(kind) = net.kind() else {
-            unreachable!("eval order contains only gates")
-        };
-        fanin_buf.clear();
-        fanin_buf.extend(net.fanin().iter().map(|f| values[f.index()].clone()));
-        values[g.index()] = eval_gate_bdd(mgr, kind, &fanin_buf)?;
-    }
-    Ok(values)
+) -> Result<(Vec<Bdd>, Vec<Bdd>), BddError> {
+    let (mut values, mut next) = (Vec::new(), Vec::new());
+    frame::eval_frame(netlist, mgr, state, inputs, None, &mut values)?;
+    frame::next_state(netlist, mgr, &values, None, &mut next);
+    Ok((values, next))
 }
 
 struct SymFaultRecord {
@@ -284,6 +260,7 @@ pub struct SymbolicFaultSim<'a> {
     true_state: Vec<Bdd>,
     values: Vec<Bdd>,
     records: Vec<SymFaultRecord>,
+    prop: Propagator<Bdd>,
     frame: usize,
     gc_threshold: usize,
     degraded_terms: usize,
@@ -353,6 +330,7 @@ impl<'a> SymbolicFaultSim<'a> {
             true_state,
             values,
             records: Vec::new(),
+            prop: Propagator::new(netlist),
             frame: 0,
             gc_threshold: 1 << 20,
             degraded_terms: 0,
@@ -597,13 +575,7 @@ impl<'a> SymbolicFaultSim<'a> {
 
     fn step_attempt(&mut self, inputs: &[bool]) -> Result<Vec<Fault>, BddError> {
         // 1. Fault-free frame.
-        let values = eval_frame_bdd(self.netlist, &self.mgr, &self.true_state, inputs)?;
-        let next_state: Vec<Bdd> = self
-            .netlist
-            .dffs()
-            .iter()
-            .map(|&q| values[self.netlist.dff_d(q).index()].clone())
-            .collect();
+        let (values, next_state) = good_frame(self.netlist, &self.mgr, &self.true_state, inputs)?;
 
         // 2. Fault-independent MOT factors, built lazily.
         let mut frame = FrameCtx {
@@ -624,9 +596,8 @@ impl<'a> SymbolicFaultSim<'a> {
             if rec.detection.is_some() {
                 continue;
             }
-            let update = propagate_fault(
-                self.netlist,
-                &self.mgr,
+            let update = simulate_fault_frame(
+                &mut self.prop,
                 self.strategy,
                 &mut frame,
                 &self.true_state,
@@ -793,11 +764,11 @@ fn and_term_or_skip(
     }
 }
 
-/// Event-driven single-fault propagation for one fault and one frame.
+/// One fault's frame: event-driven propagation ([`Propagator`]), then the
+/// strategy's observation rule and the faulty next state, staged.
 #[allow(clippy::too_many_arguments)]
-fn propagate_fault(
-    netlist: &Netlist,
-    mgr: &BddManager,
+fn simulate_fault_frame(
+    prop: &mut Propagator<Bdd>,
     strategy: Strategy,
     frame_ctx: &mut FrameCtx<'_>,
     true_state: &[Bdd],
@@ -806,86 +777,8 @@ fn propagate_fault(
     frame_no: usize,
     skipped: &mut usize,
 ) -> Result<FaultUpdate, BddError> {
-    let values = frame_ctx.values;
-    let forced = mgr.constant(rec.fault.stuck);
-
-    // Sparse faulty values: only nets that (may) diverge.
-    let mut dirty: std::collections::HashMap<u32, Bdd> = std::collections::HashMap::new();
-    let mut queued: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    let depth = netlist.depth() as usize;
-    let mut buckets: Vec<Vec<NetId>> = vec![Vec::new(); depth + 1];
-
-    let enqueue =
-        |n: NetId, buckets: &mut Vec<Vec<NetId>>, queued: &mut std::collections::HashSet<u32>| {
-            if netlist.net(n).kind().is_gate() && queued.insert(n.index() as u32) {
-                buckets[netlist.level(n) as usize].push(n);
-            }
-        };
-
-    // Seed 1: state divergence.
-    for (i, &q) in netlist.dffs().iter().enumerate() {
-        if rec.state[i] != true_state[i] {
-            dirty.insert(q.index() as u32, rec.state[i].clone());
-            for &(sink, _) in netlist.fanout(q) {
-                enqueue(sink, &mut buckets, &mut queued);
-            }
-        }
-    }
-    // Seed 2: the fault site.
-    match rec.fault.lead.sink {
-        None => {
-            let n = rec.fault.lead.net;
-            dirty.insert(n.index() as u32, forced.clone());
-            if values[n.index()] != forced {
-                for &(sink, _) in netlist.fanout(n) {
-                    enqueue(sink, &mut buckets, &mut queued);
-                }
-            }
-        }
-        Some((sink, _)) => {
-            enqueue(sink, &mut buckets, &mut queued);
-        }
-    }
-
-    let faulty_value = |n: NetId, dirty: &std::collections::HashMap<u32, Bdd>| -> Bdd {
-        dirty
-            .get(&(n.index() as u32))
-            .cloned()
-            .unwrap_or_else(|| values[n.index()].clone())
-    };
-
-    // Level-ordered propagation.
-    let mut fanin_buf: Vec<Bdd> = Vec::with_capacity(8);
-    for lvl in 0..buckets.len() {
-        let mut idx = 0;
-        while idx < buckets[lvl].len() {
-            let g = buckets[lvl][idx];
-            idx += 1;
-            let net = netlist.net(g);
-            let NodeKind::Gate(kind) = net.kind() else {
-                continue;
-            };
-            fanin_buf.clear();
-            for (pin, &f) in net.fanin().iter().enumerate() {
-                let v = if rec.fault.lead == Lead::branch(f, g, pin as u32) {
-                    forced.clone()
-                } else {
-                    faulty_value(f, &dirty)
-                };
-                fanin_buf.push(v);
-            }
-            let mut out = eval_gate_bdd(mgr, kind, &fanin_buf)?;
-            if rec.fault.lead == Lead::stem(g) {
-                out = forced.clone();
-            }
-            if out != values[g.index()] {
-                dirty.insert(g.index() as u32, out);
-                for &(sink, _) in netlist.fanout(g) {
-                    enqueue(sink, &mut buckets, &mut queued);
-                }
-            }
-        }
-    }
+    let (netlist, mgr, values) = (frame_ctx.netlist, frame_ctx.mgr, frame_ctx.values);
+    let pass = prop.propagate(netlist, mgr, values, true_state, &rec.state, rec.fault)?;
 
     // Observation.
     let mut det = rec.det.clone();
@@ -893,9 +786,8 @@ fn propagate_fault(
     match strategy {
         Strategy::Sot => {
             for (j, &o) in netlist.outputs().iter().enumerate() {
-                let ov = &values[o.index()];
-                let fv = faulty_value(o, &dirty);
-                if fv != *ov && ov.is_const() && fv.is_const() {
+                let (ov, fv) = (&values[o.index()], pass.value(o));
+                if fv != ov && ov.is_const() && fv.is_const() {
                     detection = Some(Detection {
                         frame: frame_no,
                         output: j,
@@ -906,14 +798,13 @@ fn propagate_fault(
         }
         Strategy::Rmot => {
             for (j, &o) in netlist.outputs().iter().enumerate() {
-                let ov = &values[o.index()];
-                let fv = faulty_value(o, &dirty);
-                if fv == *ov || !ov.is_const() {
+                let (ov, fv) = (&values[o.index()], pass.value(o));
+                if fv == ov || !ov.is_const() {
                     continue; // term is 1 or not admissible for rMOT
                 }
-                let term = ov.equiv(&fv).or_else(|_| {
+                let term = ov.equiv(fv).or_else(|_| {
                     mgr.gc();
-                    ov.equiv(&fv)
+                    ov.equiv(fv)
                 });
                 det = and_term_or_skip(mgr, &det, term, skipped);
                 if det.is_false() {
@@ -931,7 +822,7 @@ fn propagate_fault(
                 .outputs()
                 .iter()
                 .enumerate()
-                .filter(|(_, &o)| dirty.contains_key(&(o.index() as u32)))
+                .filter(|(_, &o)| pass.is_dirty(o))
                 .map(|(j, _)| j)
                 .collect();
             if changed.is_empty() {
@@ -947,8 +838,7 @@ fn propagate_fault(
                 for (j, &o) in netlist.outputs().iter().enumerate() {
                     let term = if changed.contains(&j) {
                         let build = || -> Result<Bdd, BddError> {
-                            let fv = faulty_value(o, &dirty);
-                            let fy = fv.rename(frame_ctx.rename_map)?;
+                            let fy = pass.value(o).rename(frame_ctx.rename_map)?;
                             values[o.index()].equiv(&fy)
                         };
                         build().or_else(|_| {
@@ -971,23 +861,14 @@ fn propagate_fault(
         }
     }
 
-    // Faulty next state.
     let mut state = Vec::with_capacity(netlist.num_dffs());
-    for &q in netlist.dffs() {
-        let d = netlist.dff_d(q);
-        let mut v = faulty_value(d, &dirty);
-        if rec.fault.lead == Lead::branch(d, q, 0) {
-            v = forced.clone();
-        }
-        state.push(v);
-    }
-
+    pass.next_state(mgr, &mut state);
     Ok(FaultUpdate {
         index,
         det,
         state,
         detection,
-        events: dirty.len(),
+        events: pass.events(),
     })
 }
 
@@ -997,6 +878,7 @@ mod tests {
     use crate::exhaustive::{verdict_from, ResponseMatrix};
     use crate::faults::FaultList;
     use motsim_netlist::builder::NetlistBuilder;
+    use motsim_netlist::Lead;
 
     /// Cross-engine oracle: the symbolic verdicts must match exhaustive
     /// enumeration for every collapsed fault.

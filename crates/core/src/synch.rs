@@ -17,6 +17,7 @@ use motsim_bdd::BddError;
 use motsim_netlist::Netlist;
 use motsim_rng::SmallRng;
 
+use crate::frame;
 use crate::pattern::TestSequence;
 use crate::sim3::TrueSim;
 use crate::symbolic::SymbolicTrueSim;
@@ -148,9 +149,16 @@ pub fn find_synchronizing_sequence(netlist: &Netlist, config: SynchConfig) -> Op
         let mut best: Option<(usize, Vec<bool>)> = None;
         for _ in 0..config.candidates.max(1) {
             let cand: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
-            let values =
-                crate::symbolic::eval_frame_bdd(netlist, sym.manager(), sym.state(), &cand)
-                    .expect("unlimited");
+            let mut values = Vec::new();
+            frame::eval_frame(
+                netlist,
+                sym.manager(),
+                sym.state(),
+                &cand,
+                None,
+                &mut values,
+            )
+            .expect("unlimited");
             let known = netlist
                 .dffs()
                 .iter()

@@ -10,6 +10,7 @@ use motsim_logic::V3;
 use motsim_netlist::{NetId, Netlist};
 
 use crate::faults::Fault;
+use crate::frame;
 use crate::pattern::TestSequence;
 use crate::sim3::TrueSim;
 
@@ -135,16 +136,16 @@ pub fn dump_with_fault(
     out
 }
 
-/// One full faulty frame via the shared dense re-simulation helpers.
+/// One full faulty frame via the shared dense evaluator.
 fn faulty_frame(
     netlist: &Netlist,
-    state: &mut [V3],
+    state: &mut Vec<V3>,
     inputs: &[bool],
     fault: Fault,
     values: &mut Vec<V3>,
 ) {
-    crate::sim3::eval_frame_with_fault(netlist, state, inputs, fault, values);
-    crate::sim3::next_state_with_fault(netlist, values, fault, state);
+    let Ok(()) = frame::eval_frame(netlist, &V3::X, state, inputs, Some(fault), values);
+    frame::next_state(netlist, &V3::X, values, Some(fault), state);
 }
 
 #[cfg(test)]
