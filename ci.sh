@@ -36,6 +36,17 @@ smoke() {
 }
 diff <(smoke 1) <(smoke 4)
 
+echo "==> smoke: sim3 partition independence (--units 1 vs 64)"
+# Three-valued verdicts must not depend on how faults are split into work
+# units (and so into 64-lane groups): lane state leaking between groups
+# would show up here. Strip elapsed times and compare.
+sim3_units() {
+  cargo run --release -q -p motsim-cli --bin motsim -- \
+    sim3 g5378 --len 100 --units "$1" --jobs "$2" 2>/dev/null |
+    sed 's/ in .*//'
+}
+diff <(sim3_units 1 1) <(sim3_units 64 2)
+
 echo "==> smoke: reorder-policy verdict equivalence (sift vs none)"
 # Dynamic reordering may only change *where* the hybrid falls back (and
 # how long runs take) — never a fault verdict. Strip elapsed times and the

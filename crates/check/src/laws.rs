@@ -18,6 +18,7 @@
 //! | `xred-sound` | `ID_X-red` never discards a three-valued-detectable fault |
 //! | `symbolic-refines-sim3` | symbolic values agree with every known three-valued value |
 //! | `event-driven-matches-dense` | event-driven propagation computes the dense faulty frame |
+//! | `dual-rail-matches-serial` | 64-lane dual-rail sim3 equals serial single-fault simulation |
 
 use crate::{forall, Config, Counterexample, SimCase};
 use motsim::engine_api::{FaultSimEngine, HybridEngine, Sim3Engine, SimConfig, SymbolicEngine};
@@ -27,10 +28,10 @@ use motsim::frame::{eval_frame, next_state, Domain, Propagator};
 use motsim::hybrid::{HybridConfig, ReorderPolicy};
 use motsim::ordering::VarOrder;
 use motsim::pattern::TestSequence;
-use motsim::sim3::TrueSim;
+use motsim::sim3::{FaultSim3, TrueSim};
 use motsim::symbolic::{Strategy, SymbolicFaultSim, SymbolicTrueSim};
 use motsim::xred::XRedAnalysis;
-use motsim::Fault;
+use motsim::{Detection, Fault};
 use motsim_bdd::{Bdd, BddManager, VarId};
 use motsim_engine::{run_traced, EngineKind, Job};
 use motsim_logic::V3;
@@ -89,6 +90,10 @@ pub fn all_laws() -> Vec<Law> {
         Law {
             name: "event-driven-matches-dense",
             run: event_driven_matches_dense,
+        },
+        Law {
+            name: "dual-rail-matches-serial",
+            run: dual_rail_matches_serial,
         },
     ]
 }
@@ -600,6 +605,110 @@ where
     Ok(())
 }
 
+/// The dual-rail [`FaultSim3`] computes exactly what serial single-fault
+/// simulation over the dense `eval_frame` computes: frame by frame, the
+/// same newly detected faults with the same [`Detection`] (frame and
+/// output) in the same order, the same live faulty states and the same
+/// fault-free state. The faults are every lead's s-a-0 and s-a-1 side by
+/// side (so both share a group) plus the four lead shapes, repeated past
+/// two groups so detections trigger a repack; they start once from the
+/// all-`X` state and once from random, partly known states, as on entry
+/// to a hybrid fallback phase.
+fn dual_rail_matches_serial(case: &SimCase) -> Result<(), String> {
+    let n = &case.netlist;
+    let mut faults: Vec<Fault> = FaultList::complete(n).into_iter().collect();
+    faults.extend(lead_shape_faults(case));
+    let faults: Vec<Fault> = faults
+        .iter()
+        .copied()
+        .cycle()
+        .take(faults.len().max(129))
+        .collect();
+
+    let unknown = vec![V3::X; n.num_dffs()];
+    let all_x = faults.iter().map(|&f| (f, unknown.clone())).collect();
+    sim3_matches_serial(n, &case.seq, &unknown, all_x)?;
+
+    let mut rng = SmallRng::seed_from_u64(case.params.circuit_seed);
+    let mut draw = || [V3::Zero, V3::One, V3::X][rng.gen_range(0..3)];
+    let good: Vec<V3> = unknown.iter().map(|_| draw()).collect();
+    let faulty = faults
+        .iter()
+        .map(|&f| {
+            let state = good
+                .iter()
+                .map(|&v| if draw() == V3::X { draw() } else { v });
+            (f, state.collect())
+        })
+        .collect();
+    sim3_matches_serial(n, &case.seq, &good, faulty)
+}
+
+/// Runs [`FaultSim3::with_states`] and the serial reference side by side.
+fn sim3_matches_serial(
+    netlist: &Netlist,
+    seq: &TestSequence,
+    good_init: &[V3],
+    faulty: Vec<(Fault, Vec<V3>)>,
+) -> Result<(), String> {
+    let mut sim = FaultSim3::with_states(netlist, good_init, faulty.clone());
+    let mut serial: Vec<(Fault, Vec<V3>, Option<Detection>)> =
+        faulty.into_iter().map(|(f, s)| (f, s, None)).collect();
+    let mut good_state = good_init.to_vec();
+    let (mut good, mut vals) = (Vec::new(), Vec::new());
+    for (t, inputs) in seq.iter().enumerate() {
+        let Ok(()) = eval_frame(netlist, &V3::X, &good_state, inputs, None, &mut good);
+        let mut want = Vec::new();
+        for (fault, state, det) in serial.iter_mut().filter(|r| r.2.is_none()) {
+            let Ok(()) = eval_frame(netlist, &V3::X, state, inputs, Some(*fault), &mut vals);
+            *det = netlist
+                .outputs()
+                .iter()
+                .position(|&o| {
+                    let (tv, fv) = (good[o.index()], vals[o.index()]);
+                    tv.is_known() && fv.is_known() && tv != fv
+                })
+                .map(|output| Detection { frame: t, output });
+            next_state(netlist, &V3::X, &vals, Some(*fault), state);
+            want.extend(det.map(|d| (*fault, d)));
+        }
+        next_state(netlist, &V3::X, &good, None, &mut good_state);
+
+        let got = sim.step(inputs);
+        if got != want {
+            let show = |v: &[(Fault, Detection)]| -> Vec<String> {
+                v.iter()
+                    .map(|(f, d)| format!("{}@{}/{}", f.display(netlist), d.frame, d.output))
+                    .collect()
+            };
+            return fail(format!(
+                "frame {t}: dual-rail detected {:?}, serial {:?}",
+                show(&got),
+                show(&want)
+            ));
+        }
+        let live: Vec<(Fault, Vec<V3>)> = serial
+            .iter()
+            .filter(|r| r.2.is_none())
+            .map(|(f, s, _)| (*f, s.clone()))
+            .collect();
+        let states = sim.faulty_states();
+        if states != live {
+            let k = states.iter().zip(&live).take_while(|(a, b)| a == b).count();
+            return fail(format!(
+                "frame {t}: faulty state of live fault #{k} differs from the serial one \
+                 ({} vs {} live)",
+                states.len(),
+                live.len()
+            ));
+        }
+        if sim.true_state() != good_state {
+            return fail(format!("frame {t}: fault-free state differs"));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,7 +716,7 @@ mod tests {
     #[test]
     fn law_list_is_stable() {
         let names: Vec<&str> = all_laws().iter().map(|l| l.name).collect();
-        assert_eq!(names.len(), 10);
+        assert_eq!(names.len(), 11);
         assert!(names.contains(&"oracle-agreement"));
         assert!(names.contains(&"lemma1-rename-invariance"));
     }

@@ -14,7 +14,9 @@
 //!    detect under three-valued logic + SOT, eliminating them before the
 //!    expensive simulation.
 //! 3. [`sim3`] — the three-valued true-value and fault simulators (the
-//!    `X01` baseline of Table I).
+//!    `X01` baseline of Table I); the fault simulator runs 64 faults per
+//!    pass in dual-rail words and, started from a fully known state, also
+//!    grades circuits *with* a known reset (the HOPE-style \[10\] setting).
 //! 4. [`symbolic`] — the OBDD-based fault simulator supporting the
 //!    [`Strategy`](symbolic::Strategy) variants **SOT**, **rMOT** and
 //!    **MOT** (Section IV.A), including the detection function
@@ -32,8 +34,6 @@
 //! Around the pipeline, the crate ships the downstream tooling a fault
 //! simulator enables:
 //!
-//! - [`pfsim`] — word-parallel fault simulation for circuits *with* a known
-//!   reset state (the HOPE-style \[10\] baseline),
 //! - [`synch`] — synchronizing-sequence search and profiling (exact,
 //!   BDD-based — succeeds on the circuit classes of \[11\] where any
 //!   three-valued search must fail),
@@ -83,7 +83,6 @@ pub mod frame;
 pub mod hybrid;
 pub mod ordering;
 pub mod pattern;
-pub mod pfsim;
 pub mod report;
 pub mod sim3;
 pub mod simb;

@@ -88,6 +88,11 @@ fn event_driven_matches_dense() {
     run_law("event-driven-matches-dense");
 }
 
+#[test]
+fn dual_rail_matches_serial() {
+    run_law("dual-rail-matches-serial");
+}
+
 /// End-to-end shrinker demonstration: a test-only engine with one flipped
 /// verdict is caught by the harness and the failing case is shrunk to a
 /// minimal reproducer — at most 8 gates and 4 frames.
