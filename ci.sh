@@ -76,6 +76,21 @@ trace_smoke 4
 cargo run --release -q -p motsim-cli --bin motsim -- trace-check "$TRACE_DIR/j1.jsonl"
 cmp "$TRACE_DIR/j1.jsonl" "$TRACE_DIR/j4.jsonl"
 
+echo "==> smoke: sifting trace (g298, --reorder sift, --trace + trace-check)"
+# The g208 run above never sifts. This one makes 15 sifting passes, whose
+# swaps free nodes by reference counting: its stream must validate, carry
+# the passes, and stay byte-identical for every --jobs value.
+sift_trace() {
+  cargo run --release -q -p motsim-cli --bin motsim -- \
+    strategies g298 --len 40 --limit 3000 --units 16 --reorder sift \
+    --jobs "$1" --trace "$TRACE_DIR/sift$1.jsonl" >/dev/null 2>&1
+}
+sift_trace 1
+sift_trace 4
+cargo run --release -q -p motsim-cli --bin motsim -- trace-check "$TRACE_DIR/sift1.jsonl"
+cmp "$TRACE_DIR/sift1.jsonl" "$TRACE_DIR/sift4.jsonl"
+grep -q '"ev":"sift_pass"' "$TRACE_DIR/sift1.jsonl"
+
 echo "==> smoke: differential fuzzing (pinned seed, determinism)"
 # The in-tree property harness must find zero counterexamples on the
 # pinned seed, and its report must be byte-identical across runs.

@@ -114,6 +114,64 @@ impl UniqueTable {
     fn needs_grow(&self) -> bool {
         (self.len + 1) * 4 >= self.slots.len() * 3
     }
+
+    /// Home slot of arena node `i` under its current triple.
+    #[inline]
+    fn home(&self, nodes: &[Node], i: u32) -> usize {
+        let n = nodes[i as usize];
+        mix(n.var, n.low, n.high) as usize & self.mask
+    }
+
+    /// Enters arena node `i` (not yet in the table) under its current triple.
+    fn insert(&mut self, nodes: &[Node], i: u32) {
+        let mut slot = self.home(nodes, i);
+        while self.slots[slot] != 0 {
+            slot = (slot + 1) & self.mask;
+        }
+        self.slots[slot] = i + 1;
+        self.len += 1;
+    }
+
+    /// Removes arena node `i`, which must still hold the triple it was
+    /// entered under, by backward-shift deletion: walking the rest of the
+    /// probe run, each entry whose home does not lie (cyclically) after the
+    /// hole moves back into it and leaves a new hole behind, so no lookup
+    /// chain is broken and no tombstone is left.
+    fn remove(&mut self, nodes: &[Node], i: u32) {
+        let mut hole = self.home(nodes, i);
+        while self.slots[hole] != i + 1 {
+            hole = (hole + 1) & self.mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & self.mask;
+            let e = self.slots[j];
+            if e == 0 {
+                break;
+            }
+            let home = self.home(nodes, e - 1);
+            if j.wrapping_sub(home) & self.mask >= j.wrapping_sub(hole) & self.mask {
+                self.slots[hole] = e;
+                hole = j;
+            }
+        }
+        self.slots[hole] = 0;
+        self.len -= 1;
+    }
+
+    /// Clears the table to `cap` slots and enters every allocated arena node
+    /// in ascending index order (so the layout is a function of the arena).
+    fn rebuild(&mut self, nodes: &[Node], cap: usize) {
+        self.slots.clear();
+        self.slots.resize(cap, 0);
+        self.mask = cap - 1;
+        self.len = 0;
+        for (i, node) in nodes.iter().enumerate().skip(1) {
+            if node.var != FREE_SLOT {
+                self.insert(nodes, i as u32);
+            }
+        }
+    }
 }
 
 /// Direct-mapped ITE computed cache: each slot holds one `(f, g, h) → r`
@@ -157,19 +215,7 @@ impl IteCache {
 
     fn put(&mut self, f: u32, g: u32, h: u32, r: u32) {
         if self.len * 2 >= self.slots.len() && self.slots.len() < MAX_CACHE_SLOTS {
-            let cap = self.slots.len() * 2;
-            let old = std::mem::replace(&mut self.slots, vec![(CACHE_EMPTY, 0, 0, 0); cap]);
-            self.mask = self.slots.len() - 1;
-            self.len = 0;
-            for e in old {
-                if e.0 != CACHE_EMPTY {
-                    let i = mix(e.0, e.1, e.2) as usize & self.mask;
-                    if self.slots[i].0 == CACHE_EMPTY {
-                        self.len += 1;
-                    }
-                    self.slots[i] = e;
-                }
-            }
+            self.grow();
         }
         let i = mix(f, g, h) as usize & self.mask;
         if self.slots[i].0 == CACHE_EMPTY {
@@ -178,9 +224,80 @@ impl IteCache {
         self.slots[i] = (f, g, h, r);
     }
 
+    /// Doubles the table in place. Under the doubled mask the entry in slot
+    /// `i` maps to `i` or `i + old`, so moving the entries that rehash upward
+    /// keeps every entry and `len` without allocating a second table.
+    fn grow(&mut self) {
+        let old = self.slots.len();
+        self.slots.resize(old * 2, (CACHE_EMPTY, 0, 0, 0));
+        self.mask = old * 2 - 1;
+        for i in 0..old {
+            let e = self.slots[i];
+            if e.0 != CACHE_EMPTY && mix(e.0, e.1, e.2) as usize & self.mask != i {
+                self.slots[i + old] = e;
+                self.slots[i] = (CACHE_EMPTY, 0, 0, 0);
+            }
+        }
+    }
+
     fn clear(&mut self) {
         self.slots.fill((CACHE_EMPTY, 0, 0, 0));
         self.len = 0;
+    }
+}
+
+/// Pass-local bookkeeping of one sifting pass: built by [`Inner::sift`]
+/// right after its entry collection, kept exact by every swap, dropped when
+/// the pass ends.
+struct SiftIndex {
+    /// Per node index: edges from allocated parents, plus 1 if an external
+    /// handle holds the node. The terminal is not counted.
+    refs: Vec<u32>,
+    /// Per variable id: a superset of its nodes. Entries go stale when a
+    /// node is rewritten to the other variable or freed (and may repeat when
+    /// a freed index is reused), so a swap filters the upper variable's list
+    /// before using it.
+    by_var: Vec<Vec<u32>>,
+}
+
+impl SiftIndex {
+    fn new(inner: &Inner) -> Self {
+        let mut idx = SiftIndex {
+            refs: vec![0; inner.nodes.len()],
+            by_var: vec![Vec::new(); inner.nvars as usize],
+        };
+        for (i, n) in inner.nodes.iter().enumerate().skip(1) {
+            if n.var != FREE_SLOT {
+                idx.by_var[n.var as usize].push(i as u32);
+                idx.acquire(n.low);
+                idx.acquire(n.high);
+            }
+        }
+        for &i in inner.ext.keys() {
+            idx.refs[i as usize] += 1;
+        }
+        idx
+    }
+
+    #[inline]
+    fn acquire(&mut self, edge: u32) {
+        let i = index_of(edge);
+        if i != 0 {
+            self.refs[i] += 1;
+        }
+    }
+
+    /// Drops one reference to `edge`'s node, appending the node to `dead`
+    /// when that was the last one.
+    #[inline]
+    fn release(&mut self, edge: u32, dead: &mut Vec<u32>) {
+        let i = index_of(edge);
+        if i != 0 {
+            self.refs[i] -= 1;
+            if self.refs[i] == 0 {
+                dead.push(i as u32);
+            }
+        }
     }
 }
 
@@ -196,7 +313,10 @@ pub struct BddStats {
     pub peak_live_nodes: usize,
     /// Number of variables created.
     pub num_vars: usize,
-    /// Garbage collections performed.
+    /// Full mark-sweep collections performed: explicit
+    /// [`BddManager::gc`] calls plus one on entry to each sifting pass.
+    /// Adjacent-level swaps reclaim the nodes they orphan by reference
+    /// counting and are not counted here.
     pub gc_runs: u64,
     /// Entries currently in the ITE computed cache.
     pub cache_entries: usize,
@@ -310,31 +430,6 @@ impl Inner {
         la < lb || (la == lb && index_of(a) < index_of(b))
     }
 
-    /// Grows the unique table (×2) and rehashes every live node from the
-    /// arena.
-    fn grow_unique(&mut self) {
-        let cap = self.slots_capacity() * 2;
-        self.unique.slots.clear();
-        self.unique.slots.resize(cap, 0);
-        self.unique.mask = cap - 1;
-        self.unique.len = 0;
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
-            if node.var == FREE_SLOT {
-                continue;
-            }
-            let mut slot = mix(node.var, node.low, node.high) as usize & self.unique.mask;
-            while self.unique.slots[slot] != 0 {
-                slot = (slot + 1) & self.unique.mask;
-            }
-            self.unique.slots[slot] = i as u32 + 1;
-            self.unique.len += 1;
-        }
-    }
-
-    fn slots_capacity(&self) -> usize {
-        self.unique.slots.len()
-    }
-
     fn make_node(&mut self, var: u32, low: u32, high: u32) -> Result<u32, BddError> {
         if low == high {
             return Ok(low);
@@ -348,7 +443,8 @@ impl Inner {
             "order violated"
         );
         if self.unique.needs_grow() {
-            self.grow_unique();
+            self.unique
+                .rebuild(&self.nodes, self.unique.slots.len() * 2);
         }
         self.unique.lookups += 1;
         let mut slot = mix(var, low, high) as usize & self.unique.mask;
@@ -884,24 +980,10 @@ impl Inner {
             }
         }
         self.live -= freed;
-        // Rebuild the open-addressed unique table from the surviving arena
-        // (deleting individual entries would break linear-probe chains).
-        let cap = self.slots_capacity();
-        self.unique.slots.clear();
-        self.unique.slots.resize(cap, 0);
-        self.unique.len = 0;
-        for i in 1..self.nodes.len() {
-            let node = self.nodes[i];
-            if node.var == FREE_SLOT {
-                continue;
-            }
-            let mut slot = mix(node.var, node.low, node.high) as usize & self.unique.mask;
-            while self.unique.slots[slot] != 0 {
-                slot = (slot + 1) & self.unique.mask;
-            }
-            self.unique.slots[slot] = i as u32 + 1;
-            self.unique.len += 1;
-        }
+        // A sweep frees an arbitrary share of the arena, so one rebuild
+        // from the survivors is cheaper than a backward-shift deletion per
+        // freed node (which only a swap's few dead nodes justify).
+        self.unique.rebuild(&self.nodes, self.unique.slots.len());
         self.cache.clear();
         self.gc_runs += 1;
         freed
@@ -945,70 +1027,182 @@ impl Inner {
     /// Canonicity is preserved without fixups: a rewritten node's new
     /// then-cofactor is reached through then-edges only, which are regular by
     /// the canonical form, so the rewritten then-edge is regular too.
-    fn swap_adjacent(&mut self, l: usize) {
+    ///
+    /// The swap is local: it reads only the upper variable's nodes from
+    /// `idx`, and reclaims what the rewrite orphans with `idx`'s reference
+    /// counts instead of a collection. It leaves the arena, the free list,
+    /// `live`, `peak_live` and the unique table's contents exactly as a
+    /// full collection after the rewrite would, which node indices (ITE's
+    /// standard-triple tie-break, cache slots) and the node limit (which
+    /// counts uncollected nodes) depend on. That takes three rules: the
+    /// affected nodes are rewritten in ascending index order (fixing which
+    /// free slots the new nodes take), references are released only after
+    /// the last rewrite (so a node that `make_node` reuses meanwhile
+    /// survives), and the dead nodes are freed in ascending index order (as
+    /// a sweep pushes them).
+    fn swap_adjacent(&mut self, l: usize, idx: &mut SiftIndex) {
         let u = self.level2var[l];
         let v = self.level2var[l + 1];
         // Collect the nodes that change shape *before* touching the level
         // maps: nodes labelled `u` with a `v`-topped child. Everything else
         // is already in canonical form under the new order.
-        let affected: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(_, n)| {
-                n.var == u
-                    && (self.nodes[index_of(n.low)].var == v
-                        || self.nodes[index_of(n.high)].var == v)
-            })
-            .map(|(i, _)| i)
-            .collect();
+        let nodes = &self.nodes;
+        let mut upper = std::mem::take(&mut idx.by_var[u as usize]);
+        upper.retain(|&i| nodes[i as usize].var == u);
+        upper.sort_unstable();
+        upper.dedup();
+        let (affected, mut kept): (Vec<u32>, Vec<u32>) = upper.into_iter().partition(|&i| {
+            let n = nodes[i as usize];
+            nodes[index_of(n.low)].var == v || nodes[index_of(n.high)].var == v
+        });
         self.var2level.swap(u as usize, v as usize);
         self.level2var.swap(l, l + 1);
         self.reorder_swaps += 1;
-        if affected.is_empty() {
-            return;
-        }
         // The rewrite allocates transient nodes and must never fail, so the
         // node limit is lifted for its duration (same idiom as literals).
         let saved = self.limit.take();
-        for i in affected {
-            let n = self.nodes[i];
+        let mut old = Vec::with_capacity(affected.len());
+        for &i in &affected {
+            let n = self.nodes[i as usize];
             // Cofactor matrix of the function at `i` w.r.t. (u, v). The
             // stored then-edge is regular; a complement bit on the else-edge
             // is pushed down onto *its* children.
             let (f00, f01) = self.cofactor(n.low, v);
             let (f10, f11) = self.cofactor(n.high, v);
-            let new_low = self
-                .make_node(u, f00, f10)
-                .expect("swap rewrite is unlimited");
-            let new_high = self
-                .make_node(u, f01, f11)
-                .expect("swap rewrite is unlimited");
+            let new_low = self.swap_node(u, f00, f10, idx, &mut kept);
+            let new_high = self.swap_node(u, f01, f11, idx, &mut kept);
             debug_assert_eq!(new_high & 1, 0, "then-edge must stay regular");
             debug_assert_ne!(new_low, new_high, "rewritten node cannot be redundant");
-            self.nodes[i] = Node {
+            self.unique.remove(&self.nodes, i);
+            self.nodes[i as usize] = Node {
                 var: v,
                 low: new_low,
                 high: new_high,
             };
+            self.unique.insert(&self.nodes, i);
+            idx.acquire(new_low);
+            idx.acquire(new_high);
+            idx.by_var[v as usize].push(i);
+            old.push(n);
         }
         self.limit = saved;
-        // The in-place rewrite leaves stale unique-table entries (the old
-        // triples of the rewritten nodes) and may orphan their old children;
-        // one collection rebuilds the table, reclaims the dead nodes and
-        // restores an exact `live` count. It also clears the computed cache
-        // (whose entries are still *semantically* valid, but cheap to refill
-        // compared to auditing them).
-        self.gc();
+        idx.by_var[u as usize] = kept;
+        // Release the old children, cascading through every node whose last
+        // reference goes (`dead` doubles as the cascade's work list).
+        let mut dead = Vec::new();
+        for n in old {
+            idx.release(n.low, &mut dead);
+            idx.release(n.high, &mut dead);
+        }
+        let mut k = 0;
+        while k < dead.len() {
+            let n = self.nodes[dead[k] as usize];
+            idx.release(n.low, &mut dead);
+            idx.release(n.high, &mut dead);
+            k += 1;
+        }
+        dead.sort_unstable();
+        for &i in &dead {
+            self.unique.remove(&self.nodes, i);
+            self.nodes[i as usize].var = FREE_SLOT;
+            self.free.push(i);
+        }
+        self.live -= dead.len();
+        if cfg!(debug_assertions) {
+            self.check_swap_invariants(idx);
+        }
+    }
+
+    /// `make_node` for a swap rewrite: a node it allocates joins `idx` (its
+    /// children gain a reference) and `kept`, the upper variable's list.
+    fn swap_node(
+        &mut self,
+        var: u32,
+        low: u32,
+        high: u32,
+        idx: &mut SiftIndex,
+        kept: &mut Vec<u32>,
+    ) -> u32 {
+        let live = self.live;
+        let e = self
+            .make_node(var, low, high)
+            .expect("swap rewrite is unlimited");
+        if self.live > live {
+            let i = index_of(e);
+            if i >= idx.refs.len() {
+                idx.refs.resize(i + 1, 0);
+            }
+            idx.refs[i] = 0;
+            let n = self.nodes[i];
+            idx.acquire(n.low);
+            idx.acquire(n.high);
+            kept.push(i as u32);
+        }
+        e
+    }
+
+    /// Debug-build audit after a swap: `live` equals a mark count from the
+    /// external roots, every reference count in `idx` equals a recount, and
+    /// the unique table holds exactly one entry per allocated node, each
+    /// found by a lookup of its triple.
+    fn check_swap_invariants(&self, idx: &SiftIndex) {
+        let mut marked = vec![false; self.nodes.len()];
+        let mut stack: Vec<usize> = self.ext.keys().map(|&i| i as usize).collect();
+        let mut reachable = 0;
+        while let Some(i) = stack.pop() {
+            if i == 0 || marked[i] {
+                continue;
+            }
+            assert_ne!(
+                self.nodes[i].var, FREE_SLOT,
+                "a handle reaches freed node {i}"
+            );
+            marked[i] = true;
+            reachable += 1;
+            stack.push(index_of(self.nodes[i].low));
+            stack.push(index_of(self.nodes[i].high));
+        }
+        assert_eq!(reachable, self.live, "live != nodes reachable from handles");
+        let mut refs = vec![0u32; self.nodes.len()];
+        for n in self.nodes.iter().skip(1).filter(|n| n.var != FREE_SLOT) {
+            refs[index_of(n.low)] += 1;
+            refs[index_of(n.high)] += 1;
+        }
+        for &i in self.ext.keys() {
+            refs[i as usize] += 1;
+        }
+        for (i, n) in self.nodes.iter().enumerate().skip(1) {
+            if n.var != FREE_SLOT {
+                assert_eq!(idx.refs[i], refs[i], "reference count of node {i}");
+            }
+        }
+        let entries = self.unique.slots.iter().filter(|&&e| e != 0);
+        assert!(
+            entries
+                .clone()
+                .all(|&e| self.nodes[e as usize - 1].var != FREE_SLOT),
+            "unique table holds a freed node"
+        );
+        assert_eq!(entries.count(), self.live, "unique entries != live nodes");
+        assert_eq!(self.unique.len, self.live, "unique len != live nodes");
+        for (i, n) in self.nodes.iter().enumerate().skip(1) {
+            if n.var == FREE_SLOT {
+                continue;
+            }
+            let mut slot = self.unique.home(&self.nodes, i as u32);
+            while self.unique.slots[slot] != i as u32 + 1 {
+                assert_ne!(self.unique.slots[slot], 0, "node {i} not found by lookup");
+                slot = (slot + 1) & self.unique.mask;
+            }
+        }
     }
 
     /// Swaps the block of `t` levels starting at `s` with the block of `u`
     /// levels directly below it, preserving the internal order of both.
-    fn swap_blocks(&mut self, s: usize, t: usize, u: usize) {
+    fn swap_blocks(&mut self, s: usize, t: usize, u: usize, idx: &mut SiftIndex) {
         for i in (0..t).rev() {
             for k in 0..u {
-                self.swap_adjacent(s + i + k);
+                self.swap_adjacent(s + i + k, idx);
             }
         }
     }
@@ -1098,6 +1292,10 @@ impl Inner {
         let mut order: Vec<u32> = layout.clone();
         order.sort_by_key(|&b| (std::cmp::Reverse(population[b as usize]), min_var(b)));
 
+        // No ITE runs during the pass, so the cache the entry collection
+        // cleared stays empty; the swaps keep `idx` and the unique table
+        // exact between them.
+        let mut idx = SiftIndex::new(self);
         for moved in order {
             let bound = (self.live as f64 * max_growth).ceil() as usize + 16;
             let start_level =
@@ -1110,7 +1308,7 @@ impl Inner {
             // Down to the bottom, abandoning on growth past the bound.
             while p + 1 < layout.len() {
                 let s = start_level(&layout, p);
-                self.swap_blocks(s, width(layout[p]), width(layout[p + 1]));
+                self.swap_blocks(s, width(layout[p]), width(layout[p + 1]), &mut idx);
                 layout.swap(p, p + 1);
                 p += 1;
                 if self.live < best.0 {
@@ -1126,7 +1324,7 @@ impl Inner {
             // above home.
             while p > 0 {
                 let s = start_level(&layout, p - 1);
-                self.swap_blocks(s, width(layout[p - 1]), width(layout[p]));
+                self.swap_blocks(s, width(layout[p - 1]), width(layout[p]), &mut idx);
                 layout.swap(p - 1, p);
                 p -= 1;
                 if self.live < best.0 {
@@ -1139,17 +1337,21 @@ impl Inner {
             // Park at the best recorded position (either side of p).
             while p < best.1 {
                 let s = start_level(&layout, p);
-                self.swap_blocks(s, width(layout[p]), width(layout[p + 1]));
+                self.swap_blocks(s, width(layout[p]), width(layout[p + 1]), &mut idx);
                 layout.swap(p, p + 1);
                 p += 1;
             }
             while p > best.1 {
                 let s = start_level(&layout, p - 1);
-                self.swap_blocks(s, width(layout[p - 1]), width(layout[p]));
+                self.swap_blocks(s, width(layout[p - 1]), width(layout[p]), &mut idx);
                 layout.swap(p - 1, p);
                 p -= 1;
             }
         }
+        // Swaps leave the table's contents exact but its layout shaped by
+        // their deletions; one rebuild restores the layout a collection
+        // gives, which later lookups' probe lengths depend on.
+        self.unique.rebuild(&self.nodes, self.unique.slots.len());
         start_live.saturating_sub(self.live)
     }
 }
@@ -1360,9 +1562,10 @@ impl BddManager {
     /// conventional choice.
     ///
     /// The computed cache is invalidated and dead nodes are collected as a
-    /// side effect, so the pass never fails: the node limit (if any) does not
-    /// apply to the transient nodes a swap allocates. Returns the number of
-    /// live nodes shed by the pass.
+    /// side effect (one collection on entry; each swap then frees the nodes
+    /// it orphans), so the pass never fails: the node limit (if any) does
+    /// not apply to the transient nodes a swap allocates. Returns the number
+    /// of live nodes shed by the pass.
     ///
     /// # Panics
     ///
@@ -1543,6 +1746,65 @@ mod tests {
         let st = m.stats();
         assert!(st.unique_lookups > 0);
         assert!(st.unique_probes >= st.unique_lookups);
+    }
+
+    #[test]
+    fn unique_table_backward_shift_keeps_chains() {
+        // Six nodes in eight slots: collisions and wrap-around are common.
+        let mut nodes = vec![Node {
+            var: TERM_LEVEL,
+            low: TRUE,
+            high: TRUE,
+        }];
+        nodes.extend((0..6).map(|k| Node {
+            var: k % 3,
+            low: 2 * k + 2,
+            high: 4 * k,
+        }));
+        for stride in 1..6 {
+            let mut t = UniqueTable::new();
+            t.rebuild(&nodes, 8);
+            let mut present: Vec<u32> = (1..7).collect();
+            let mut at = 0;
+            while !present.is_empty() {
+                at = (at + stride) % present.len();
+                t.remove(&nodes, present.remove(at));
+                assert_eq!(t.len, present.len());
+                assert_eq!(t.slots.iter().filter(|&&e| e != 0).count(), t.len);
+                for &i in &present {
+                    let mut slot = t.home(&nodes, i);
+                    while t.slots[slot] != i + 1 {
+                        assert_ne!(t.slots[slot], 0, "node {i} lost (stride {stride})");
+                        slot = (slot + 1) & t.mask;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ite_cache_grows_in_place() {
+        let mut c = IteCache::new();
+        let cap = c.slots.len();
+        let mut k = 0;
+        while c.len * 2 < cap {
+            c.put(3 * k, 3 * k + 1, 3 * k + 2, k);
+            k += 1;
+        }
+        let stored: Vec<_> = c
+            .slots
+            .iter()
+            .filter(|e| e.0 != CACHE_EMPTY)
+            .copied()
+            .collect();
+        let len = c.len;
+        c.grow();
+        assert_eq!(c.slots.len(), 2 * cap);
+        assert_eq!(c.len, len, "growth keeps every entry");
+        for (f, g, h, r) in stored {
+            assert_eq!(c.get(f, g, h), Some(r), "lost ({f}, {g}, {h})");
+        }
+        assert_eq!(c.slots.iter().filter(|e| e.0 != CACHE_EMPTY).count(), len);
     }
 
     #[test]

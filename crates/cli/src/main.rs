@@ -79,10 +79,11 @@ options: --len N  --seed S  --limit NODES  --max-len N  --complete
          --reorder none|sift  (response to symbolic node-limit pressure in
                     hybrid runs: `sift` tries one dynamic-reordering pass
                     before the three-valued fallback; default `none`)
-         --bdd-stats  (print BDD-manager usage — peak nodes, gc runs, ITE
-                       cache hit rate, unique-table probe length, reorder
-                       and fallback counts — after sim3/strategies/xred
-                       runs)
+         --bdd-stats  (print BDD-manager usage — peak nodes, gc runs
+                       (full collections; sifting swaps free nodes without
+                       one), ITE cache hit rate, unique-table probe length,
+                       reorder and fallback counts — after sim3/strategies/
+                       xred runs)
          --trace FILE  (stream structured JSONL telemetry of sim3/strategies/
                        xred runs to FILE: per-frame node counts, node-limit
                        hits, sift passes, fallback spans, unit brackets.
