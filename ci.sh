@@ -91,6 +91,16 @@ cargo run --release -q -p motsim-cli --bin motsim -- trace-check "$TRACE_DIR/sif
 cmp "$TRACE_DIR/sift1.jsonl" "$TRACE_DIR/sift4.jsonl"
 grep -q '"ev":"sift_pass"' "$TRACE_DIR/sift1.jsonl"
 
+echo "==> smoke: experiment tables (figs, table1 --quick)"
+# `motsim tables` regenerates the paper's experiments. The figure
+# walkthroughs must show MOT detecting on all three figures, and a short
+# Table I must run end to end.
+cargo run --release -q -p motsim-cli --bin motsim -- tables figs >"$TRACE_DIR/figs.txt"
+test "$(grep -c '^   MOT: DETECTED' "$TRACE_DIR/figs.txt")" -eq 3
+cargo run --release -q -p motsim-cli --bin motsim -- tables table1 --quick --len 20 \
+  >"$TRACE_DIR/table1.txt"
+grep -q '^      g27        s27      32' "$TRACE_DIR/table1.txt"
+
 echo "==> smoke: differential fuzzing (pinned seed, determinism)"
 # The in-tree property harness must find zero counterexamples on the
 # pinned seed, and its report must be byte-identical across runs.

@@ -37,7 +37,7 @@ use motsim_engine::{run_traced, EngineKind, Job};
 use motsim_logic::V3;
 use motsim_netlist::{Lead, Netlist};
 use motsim_rng::SmallRng;
-use motsim_trace::CollectSink;
+use motsim_trace::{CollectSink, NullSink};
 
 /// One cross-engine law.
 #[derive(Debug, Clone, Copy)]
@@ -325,7 +325,7 @@ fn reorder_invariance(case: &SimCase) -> Result<(), String> {
             let mid = case.seq.len() / 2;
             for (t, vector) in case.seq.iter().enumerate() {
                 if t == mid {
-                    sim.reorder_sift();
+                    sim.reorder_sift_traced(&mut NullSink);
                 }
                 sim.step(vector).map_err(bdd_err)?;
             }

@@ -11,7 +11,9 @@
 //!   results live), random control FSMs, shift registers, LFSRs, Gray
 //!   counters, serial accumulators and random sequential logic,
 //! - the [`suite`] module instantiating named `g*` benchmarks at sizes
-//!   matched to the paper's table rows (`g208` ↔ s208.1, `g298` ↔ s298, …).
+//!   matched to the paper's table rows (`g208` ↔ s208.1, `g298` ↔ s298, …),
+//! - the paper's one-flip-flop example circuits [`fig1`] and [`fig3`]
+//!   (Fig. 2 is [`generators::counter`]`(3)`).
 //!
 //! See `DESIGN.md` §2 for the substitution rationale.
 //!
@@ -27,7 +29,7 @@
 pub mod generators;
 pub mod suite;
 
-use motsim_netlist::{parse::parse_bench, Netlist};
+use motsim_netlist::{builder::NetlistBuilder, parse::parse_bench, GateKind, Netlist};
 
 /// The ISCAS-89 `s27` benchmark (4 inputs, 1 output, 3 flip-flops,
 /// 10 gates), embedded verbatim.
@@ -90,6 +92,49 @@ N23 = NAND(N16, N19)
 /// Never panics in practice: the embedded text is valid (checked by tests).
 pub fn c17() -> Netlist {
     parse_bench("c17", C17_BENCH).expect("embedded c17 is valid")
+}
+
+/// The paper's Fig. 1 circuit: `O = (A ⊕ Q) ⊕ B` over a hold flip-flop
+/// `Q' = Q` that no input initializes. With the fault `A` stuck-at-0 and
+/// the sequence `([1,0], [0,0])` both machines stay uninitialized, so no
+/// single observation time detects the fault, yet the two response sets
+/// are disjoint (MOT detects it).
+pub fn fig1() -> Netlist {
+    let mut b = NetlistBuilder::new("fig1");
+    let a = b.add_input("A").expect("fresh name");
+    let c = b.add_input("B").expect("fresh name");
+    let q = b.add_dff("Q").expect("fresh name");
+    let keep = b
+        .add_gate("KEEP", GateKind::Buf, vec![q])
+        .expect("fresh name");
+    b.connect_dff(q, keep).expect("Q is a flip-flop");
+    let x = b
+        .add_gate("XR", GateKind::Xor, vec![a, q])
+        .expect("fresh name");
+    let o = b
+        .add_gate("O", GateKind::Xor, vec![x, c])
+        .expect("fresh name");
+    b.add_output(o);
+    b.finish().expect("fig1 is well formed")
+}
+
+/// The paper's Fig. 3 worked example: `O = XNOR(A, Q)` over a hold
+/// flip-flop `Q' = Q`. Under the sequence `(1, 0)` the fault-free outputs
+/// are `(x, x̄)` and those of `A` stuck-at-0 are `(ȳ, ȳ)`, so the detection
+/// function `D(x,y) = [x ≡ ȳ]·[x ≡ y]` is identically 0.
+pub fn fig3() -> Netlist {
+    let mut b = NetlistBuilder::new("fig3");
+    let a = b.add_input("A").expect("fresh name");
+    let q = b.add_dff("Q").expect("fresh name");
+    let keep = b
+        .add_gate("KEEP", GateKind::Buf, vec![q])
+        .expect("fresh name");
+    b.connect_dff(q, keep).expect("Q is a flip-flop");
+    let o = b
+        .add_gate("O", GateKind::Xnor, vec![a, q])
+        .expect("fresh name");
+    b.add_output(o);
+    b.finish().expect("fig3 is well formed")
 }
 
 #[cfg(test)]

@@ -16,14 +16,20 @@
 //! motsim list
 //! motsim trace-check <file.jsonl>
 //! motsim fuzz [--seed S] [--cases N] [--max-dffs M]
+//! motsim tables <table1|table2|table3|table4|figs|limits|all> [--len N] [--seed S]
+//!               [--jobs N] [--quick]
 //! ```
 //!
 //! `<circuit>` is either a built-in suite name (`g208`, `g298`, … — see
-//! `motsim list`) or a path to an ISCAS-89 `.bench` file.
+//! `motsim list`) or a path to an ISCAS-89 `.bench` file. `motsim tables`
+//! regenerates the paper's Tables I–IV, the Fig. 1–3 walkthroughs and the
+//! node-limit sweep (see the [`tables`] module).
 
 use std::collections::BTreeSet;
 use std::process::exit;
 use std::time::Instant;
+
+mod tables;
 
 use motsim::dictionary::FaultDictionary;
 use motsim::faults::FaultList;
@@ -35,6 +41,8 @@ use motsim::synch::{self, SynchConfig};
 use motsim::testeval::{reference_response, SymbolicOutputSequence, TestVerdict};
 use motsim::tgen::{self, TgenConfig};
 use motsim::xred::XRedAnalysis;
+use motsim::Fault;
+use motsim_engine::{EngineKind, Job, JobResult};
 use motsim_netlist::analysis::NetlistStats;
 use motsim_netlist::Netlist;
 use motsim_trace::{JsonlSink, TraceEvent, TraceSink};
@@ -64,18 +72,28 @@ commands:
               32), --max-dffs M (flip-flop cap 1..=16, default 5).
               Output is deterministic in the options; exits 1 if any
               law is violated
+  tables      regenerate the paper's experiments; takes a table name
+              instead of <circuit>: table1 (ID_X-red speedup), table2
+              (SOT/rMOT/MOT, random), table3 (SOT/rMOT/MOT, deterministic),
+              table4 (symbolic test evaluation), figs (Fig. 1-3
+              walkthroughs), limits (node-limit sweep) or all
 
 <circuit> is a suite name (try `motsim list`) or a .bench file path.
 
 options: --len N  --seed S  --limit NODES  --max-len N  --complete
          --static  --inject K  --output J  --no-xred  --all-nets  --compact
-         --jobs N  (worker threads for sim3/strategies/xred; the result is
-                    identical for every N — see DESIGN.md §8)
-         --units N  (fixed work-unit count for sim3/strategies; default 0 =
-                    auto-sized. More units mean fewer faults — and smaller
+         --jobs N  (worker threads for sim3/strategies/xred/tables; the
+                    result is identical for every N — see DESIGN.md §8)
+         --units N  (fixed work-unit count for sim3/strategies/tables;
+                    default 0 = auto-sized. For strategies and tables it
+                    shapes only the hybrid runs, not the three-valued
+                    pre-pass. More units mean fewer faults — and smaller
                     BDDs — per unit, which shifts where the hybrid node
                     limit bites, so hybrid verdicts can change with N — see
                     DESIGN.md §8; exact and three-valued verdicts do not)
+         --quick  (a shorter run: --len defaults to 50 instead of 200;
+                    tables also skip their largest circuits and cap Table
+                    III's sequences at 120 vectors instead of 400)
          --reorder none|sift  (response to symbolic node-limit pressure in
                     hybrid runs: `sift` tries one dynamic-reordering pass
                     before the three-valued fallback; default `none`)
@@ -111,6 +129,7 @@ struct Opts {
     reorder: motsim::hybrid::ReorderPolicy,
     trace: Option<String>,
     trace_summary: bool,
+    quick: bool,
 }
 
 impl Default for Opts {
@@ -133,6 +152,7 @@ impl Default for Opts {
             reorder: motsim::hybrid::ReorderPolicy::None,
             trace: None,
             trace_summary: false,
+            quick: false,
         }
     }
 }
@@ -144,6 +164,7 @@ fn die(msg: &str) -> ! {
 
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts::default();
+    let mut len_given = false;
     let mut i = 0;
     let num = |args: &[String], i: &mut usize, what: &str| -> usize {
         *i += 1;
@@ -153,9 +174,17 @@ fn parse_opts(args: &[String]) -> Opts {
     };
     while i < args.len() {
         match args[i].as_str() {
-            "--len" => o.len = num(args, &mut i, "--len"),
+            "--len" => {
+                o.len = num(args, &mut i, "--len");
+                len_given = true;
+            }
             "--seed" => o.seed = num(args, &mut i, "--seed") as u64,
-            "--limit" => o.limit = num(args, &mut i, "--limit"),
+            "--limit" => {
+                o.limit = num(args, &mut i, "--limit");
+                if o.limit == 0 {
+                    die("--limit must be at least 1");
+                }
+            }
             "--max-len" => o.max_len = num(args, &mut i, "--max-len"),
             "--inject" => o.inject = num(args, &mut i, "--inject"),
             "--jobs" => o.jobs = num(args, &mut i, "--jobs").max(1),
@@ -176,6 +205,7 @@ fn parse_opts(args: &[String]) -> Opts {
                 );
             }
             "--trace-summary" => o.trace_summary = true,
+            "--quick" => o.quick = true,
             "--reorder" => {
                 i += 1;
                 o.reorder = match args.get(i).map(String::as_str) {
@@ -188,12 +218,65 @@ fn parse_opts(args: &[String]) -> Opts {
         }
         i += 1;
     }
+    if o.quick && !len_given {
+        o.len = 50;
+    }
     o
+}
+
+/// The engine-job set-up of `sim3`, `strategies` and `tables`: `--jobs`
+/// workers, and `--units` work units when given.
+fn job<'a>(
+    netlist: &'a Netlist,
+    seq: &'a TestSequence,
+    faults: &'a [Fault],
+    engine: EngineKind,
+    opts: &Opts,
+) -> Job<'a> {
+    let job = Job::new(netlist, seq, faults, engine).jobs(opts.jobs);
+    if opts.units > 0 {
+        job.units(opts.units)
+    } else {
+        job
+    }
+}
+
+/// The three-valued pre-pass of `strategies` and Tables II/III: returns
+/// the faults it leaves undetected (`F_u`), which the hybrid runs then
+/// grade. It runs at the default unit count: `--units` shapes only the
+/// hybrid jobs.
+fn three_valued_prepass(
+    netlist: &Netlist,
+    seq: &TestSequence,
+    faults: &[Fault],
+    opts: &Opts,
+    sink: &mut dyn TraceSink,
+) -> Vec<Fault> {
+    let job = Job::new(netlist, seq, faults, EngineKind::Sim3).jobs(opts.jobs);
+    run_job(&job, sink).outcome.undetected_faults().collect()
+}
+
+/// Runs one strategy's hybrid job under `--limit` and `--reorder`.
+fn hybrid_run(
+    netlist: &Netlist,
+    seq: &TestSequence,
+    faults: &[Fault],
+    strategy: Strategy,
+    opts: &Opts,
+    sink: &mut dyn TraceSink,
+) -> JobResult {
+    let config = HybridConfig {
+        node_limit: opts.limit,
+        reorder: opts.reorder,
+        ..HybridConfig::default()
+    };
+    let engine = EngineKind::Hybrid(strategy, config);
+    run_job(&job(netlist, seq, faults, engine, opts), sink)
 }
 
 /// Runs an engine job, replaying its deterministic trace stream into
 /// `sink` (the merged stream is byte-identical for every `--jobs` value).
-fn run_job(job: &motsim_engine::Job, sink: &mut dyn TraceSink) -> motsim_engine::JobResult {
+fn run_job(job: &Job, sink: &mut dyn TraceSink) -> JobResult {
     motsim_engine::run_traced(job, sink).unwrap_or_else(|e| die(&format!("engine failure: {e}")))
 }
 
@@ -367,6 +450,13 @@ fn main() {
     }
     if cmd == "fuzz" {
         cmd_fuzz(&args[1..]);
+        return;
+    }
+    if cmd == "tables" {
+        let Some(table) = args.get(1) else {
+            die("tables needs a table name")
+        };
+        tables::run(table, &parse_opts(&args[2..]));
         return;
     }
     let Some(circuit) = args.get(1) else {
@@ -599,13 +689,11 @@ fn cmd_sim3(netlist: &Netlist, opts: &Opts) {
             remaining: sim_faults.len(),
         });
     }
-    let mut job =
-        motsim_engine::Job::new(netlist, &seq, &sim_faults, motsim_engine::EngineKind::Sim3)
-            .jobs(opts.jobs);
-    if opts.units > 0 {
-        job = job.units(opts.units);
-    }
-    let outcome = run_job(&job, &mut trace).outcome;
+    let outcome = run_job(
+        &job(netlist, &seq, &sim_faults, EngineKind::Sim3, opts),
+        &mut trace,
+    )
+    .outcome;
     trace.finish(opts);
     println!(
         "{} vectors, {} faults ({} X-redundant eliminated): {} detected in {:?}",
@@ -628,43 +716,17 @@ fn cmd_strategies(netlist: &Netlist, opts: &Opts) {
     let faults = FaultList::collapsed(netlist);
     let seq = TestSequence::random(netlist, opts.len, opts.seed);
     let mut trace = TraceOut::from_opts(opts);
-    let three = run_job(
-        &motsim_engine::Job::new(
-            netlist,
-            &seq,
-            faults.as_slice(),
-            motsim_engine::EngineKind::Sim3,
-        )
-        .jobs(opts.jobs),
-        &mut trace,
-    )
-    .outcome;
-    let hard: Vec<_> = three.undetected_faults().collect();
+    let hard = three_valued_prepass(netlist, &seq, faults.as_slice(), opts, &mut trace);
     println!(
         "{}: |F| = {}, three-valued detects {}, {} hard faults remain",
         netlist.name(),
         faults.len(),
-        three.num_detected(),
+        faults.len() - hard.len(),
         hard.len()
     );
-    let config = HybridConfig {
-        node_limit: opts.limit,
-        fallback_frames: 8,
-        reorder: opts.reorder,
-    };
     for strategy in Strategy::ALL {
         let t0 = Instant::now();
-        let mut job = motsim_engine::Job::new(
-            netlist,
-            &seq,
-            &hard,
-            motsim_engine::EngineKind::Hybrid(strategy, config),
-        )
-        .jobs(opts.jobs);
-        if opts.units > 0 {
-            job = job.units(opts.units);
-        }
-        let r = run_job(&job, &mut trace);
+        let r = hybrid_run(netlist, &seq, &hard, strategy, opts, &mut trace);
         println!(
             "  {strategy:>4}: +{:<5} detected{} in {:?} ({} unit(s), {} worker(s))",
             r.outcome.num_detected(),
@@ -733,7 +795,7 @@ fn cmd_tgen(netlist: &Netlist, opts: &Opts) {
         },
     );
     if opts.compact && !seq.is_empty() {
-        let flist: Vec<motsim::Fault> = faults.iter().copied().collect();
+        let flist: Vec<Fault> = faults.iter().copied().collect();
         let r = motsim::compact::compact(netlist, &seq, &flist);
         eprintln!(
             "compaction removed {} vector(s) ({} -> {})",

@@ -185,3 +185,83 @@ fn fuzz_rejects_bad_options() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--max-dffs"));
 }
+
+#[test]
+fn zero_node_limit_is_rejected_before_any_run() {
+    for args in [
+        &["strategies", "g27", "--limit", "0"][..],
+        &["strategies", "g208", "--len", "20", "--limit", "0"],
+        &["testeval", "s27", "--limit", "0"],
+        &["tables", "table4", "--limit", "0"],
+    ] {
+        let out = motsim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before printing");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--limit must be at least 1"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn quick_shortens_only_an_absent_len() {
+    let vectors = |args: &[&str]| {
+        let out = motsim(args);
+        assert!(out.status.success());
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        text.split(' ').next().unwrap().to_owned()
+    };
+    assert_eq!(vectors(&["sim3", "g27", "--quick"]), "50");
+    assert_eq!(vectors(&["sim3", "g27", "--quick", "--len", "200"]), "200");
+}
+
+#[test]
+fn tables_figs_shows_sot_failing_and_mot_detecting() {
+    let out = motsim(&["tables", "figs"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let figs: Vec<&str> = text.split("\nFig. ").skip(1).collect();
+    assert_eq!(figs.len(), 3, "three figures:\n{text}");
+    let verdict = |fig: &str, strategy: &str| {
+        let tag = format!("{strategy}: ");
+        let line = fig
+            .lines()
+            .find(|l| l.trim_start().starts_with(&tag))
+            .unwrap_or_else(|| panic!("no {strategy} line in:\n{fig}"));
+        line.contains(": DETECTED")
+    };
+    for fig in [figs[0], figs[2]] {
+        assert!(!verdict(fig, "SOT"), "SOT must miss:\n{fig}");
+        assert!(verdict(fig, "MOT"), "MOT must detect:\n{fig}");
+    }
+    assert!(!verdict(figs[1], "SOT"), "Fig. 2 SOT must miss");
+    assert!(verdict(figs[1], "rMOT"), "Fig. 2 rMOT must detect");
+}
+
+#[test]
+fn tables_table4_prints_its_five_rows() {
+    let out = motsim(&["tables", "table4", "--len", "20"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("Table IV: symbolic test evaluation (30,000-node limit)"));
+    for name in ["g208", "g420", "g510", "g953", "g838"] {
+        let row = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("no {name} row in:\n{text}"));
+        assert_eq!(row.split_whitespace().nth(2), Some("20"), "|T| of {row}");
+    }
+}
+
+#[test]
+fn tables_needs_a_known_table() {
+    for args in [&["tables", "nope"][..], &["tables"]] {
+        let out = motsim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: motsim"), "{args:?}: {err}");
+        assert!(err.contains("tables"), "{args:?}: {err}");
+    }
+}

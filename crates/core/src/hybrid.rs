@@ -36,7 +36,7 @@ pub enum ReorderPolicy {
     #[default]
     None,
     /// Run one sifting pass of dynamic variable reordering
-    /// ([`SymbolicFaultSim::reorder_sift`]) and retry the frame; fall back
+    /// ([`SymbolicFaultSim::reorder_sift_traced`]) and retry the frame; fall back
     /// only if the reordered graph still exceeds the limit. Keeps the run
     /// exact whenever a better order exists, at some reordering cost.
     Sift,
@@ -183,6 +183,7 @@ pub fn run_traced(
         // keeping the earliest recorded detection for each fault.
         let phase_outcome = sym.outcome();
         bdd_total.absorb(&phase_outcome.bdd);
+        degraded_total += phase_outcome.degraded_terms;
         for r in phase_outcome.results {
             if let Some(d) = r.detection {
                 detections.entry(r.fault).or_insert(Detection {
@@ -191,7 +192,6 @@ pub fn run_traced(
                 });
             }
         }
-        degraded_total += sym.degraded_terms();
         if t >= seq.len() {
             break;
         }

@@ -4,7 +4,7 @@
 //! computes the *initial* order from circuit structure; it is complemented
 //! at run time by dynamic reordering
 //! ([`BddManager::sift`](motsim_bdd::BddManager::sift), exposed through
-//! `SymbolicFaultSim::reorder_sift`), which the hybrid engine invokes under
+//! `SymbolicFaultSim::reorder_sift_traced`), which the hybrid engine invokes under
 //! node-limit pressure before falling back three-valued. A good static
 //! order is still worth computing — sifting starts from it and only ever
 //! improves locally. The structural orders:

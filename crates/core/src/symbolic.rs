@@ -367,32 +367,12 @@ impl<'a> SymbolicFaultSim<'a> {
     /// For MOT, each `(x_i, y_i)` pair sifts as a rigid group so the Lemma 1
     /// rename `o^f(x, t) → o^f(y, t)` stays order-valid; the other
     /// strategies have no rename and sift every variable independently.
-    /// Returns the number of live nodes the pass shed.
-    pub fn reorder_sift(&mut self) -> usize {
-        self.reorder_sift_traced(&mut motsim_trace::NullSink)
-    }
-
-    /// Like [`reorder_sift`](Self::reorder_sift), additionally reporting the
-    /// pass to `sink` as one [`TraceEvent::SiftPass`] (via
-    /// [`BddManager::sift_traced`]).
+    /// Reports the pass to `sink` as one [`TraceEvent::SiftPass`] (via
+    /// [`BddManager::sift_traced`]) and returns the number of live nodes it
+    /// shed.
     pub fn reorder_sift_traced(&mut self, sink: &mut dyn TraceSink) -> usize {
         let groups: Vec<Vec<VarId>> = self.rename_map.iter().map(|&(x, y)| vec![x, y]).collect();
         self.mgr.sift_traced(&groups, 1.2, sink)
-    }
-
-    /// The strategy this simulator applies.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// The underlying manager (e.g. for statistics).
-    pub fn manager(&self) -> &BddManager {
-        &self.mgr
-    }
-
-    /// The state-encoding variables.
-    pub fn xvars(&self) -> &[VarId] {
-        &self.xvars
     }
 
     /// Adds a fault to simulate; its faulty machine starts in the same
@@ -450,14 +430,6 @@ impl<'a> SymbolicFaultSim<'a> {
             .collect();
     }
 
-    /// Number of faults not yet marked detectable.
-    pub fn live_faults(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.detection.is_none())
-            .count()
-    }
-
     /// Projects the fault-free symbolic state to three values (constants
     /// stay known, everything else becomes `X`).
     pub fn true_state_v3(&self) -> Vec<V3> {
@@ -491,12 +463,6 @@ impl<'a> SymbolicFaultSim<'a> {
         };
         outcome.sort_by_fault();
         outcome
-    }
-
-    /// Detection-function terms skipped because of the node limit (0 when
-    /// no limit is configured; see [`SimOutcome::degraded_terms`]).
-    pub fn degraded_terms(&self) -> usize {
-        self.degraded_terms
     }
 
     /// Convenience: simulate `seq` for `faults` and collect the outcome.
@@ -633,15 +599,6 @@ impl<'a> SymbolicFaultSim<'a> {
             self.mgr.gc();
         }
         Ok(newly)
-    }
-
-    /// Primary-output functions of the most recent frame (fault-free).
-    pub fn output_values(&self) -> Vec<Bdd> {
-        self.netlist
-            .outputs()
-            .iter()
-            .map(|&o| self.values[o.index()].clone())
-            .collect()
     }
 
     /// Frames simulated so far.
@@ -877,7 +834,6 @@ mod tests {
     use super::*;
     use crate::exhaustive::{verdict_from, ResponseMatrix};
     use crate::faults::FaultList;
-    use motsim_netlist::builder::NetlistBuilder;
     use motsim_netlist::Lead;
 
     /// Cross-engine oracle: the symbolic verdicts must match exhaustive
@@ -974,16 +930,8 @@ mod tests {
         //   fault-free: o(1) = XNOR(1, x) = x; o(2) = XNOR(0, x) = x̄.
         //   A stuck-at-0: o^f = XNOR(0, y) = ȳ both frames.
         // D = [x ≡ ȳ]·[x̄ ≡ ȳ] = [x ≡ ȳ]·[x ≡ y] ≡ 0 — the paper's algebra.
-        let mut b = NetlistBuilder::new("fig3");
-        let a = b.add_input("A").unwrap();
-        let q = b.add_dff("Q").unwrap();
-        let keep = b.add_gate("KEEP", GateKind::Buf, vec![q]).unwrap();
-        b.connect_dff(q, keep).unwrap();
-        let o = b.add_gate("O", GateKind::Xnor, vec![a, q]).unwrap();
-        b.add_output(o);
-        let n = b.finish().unwrap();
-        let a = n.find("A").unwrap();
-        let fault = Fault::stuck_at_0(Lead::stem(a));
+        let n = motsim_circuits::fig3();
+        let fault = Fault::stuck_at_0(Lead::stem(n.find("A").unwrap()));
         let seq = TestSequence::new(1, vec![vec![true], vec![false]]);
 
         for (strategy, expect) in [
@@ -1011,16 +959,8 @@ mod tests {
         // With sequence (1, 0) it IS detected (fig3 test above). This pins
         // down that detection hinges on cross-frame pruning, not on lucky
         // per-frame differences.
-        let mut b = NetlistBuilder::new("t");
-        let a = b.add_input("A").unwrap();
-        let q = b.add_dff("Q").unwrap();
-        let keep = b.add_gate("KEEP", GateKind::Buf, vec![q]).unwrap();
-        b.connect_dff(q, keep).unwrap();
-        let o = b.add_gate("O", GateKind::Xnor, vec![a, q]).unwrap();
-        b.add_output(o);
-        let n = b.finish().unwrap();
-        let a = n.find("A").unwrap();
-        let fault = Fault::stuck_at_0(Lead::stem(a));
+        let n = motsim_circuits::fig3();
+        let fault = Fault::stuck_at_0(Lead::stem(n.find("A").unwrap()));
 
         let same = TestSequence::new(1, vec![vec![true], vec![true]]);
         let outcome = SymbolicFaultSim::new(&n, Strategy::Mot)

@@ -125,9 +125,10 @@ pub struct JobResult {
 /// failing work unit.
 ///
 /// Reported for the *lowest-id* failing unit (all units still run), so the
-/// error is as deterministic as the success path. Use
-/// [`EngineKind::Hybrid`] to absorb symbolic node limits instead of
-/// failing.
+/// error is as deterministic as the success path. A unit fails only when
+/// its engine rejects the configuration: an [`EngineKind::Hybrid`] config
+/// with a node limit of 0 or zero fallback frames. Three-valued and
+/// symbolic units run without a node limit and never fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineError {
     /// The work unit whose shard failed, if the failure happened inside
@@ -163,8 +164,8 @@ impl From<SimError> for EngineError {
 ///
 /// # Errors
 ///
-/// Fails with [`EngineError`] if a [`EngineKind::Symbolic`] shard hits a
-/// node limit (the default symbolic configuration has none).
+/// Fails with [`EngineError`] if a unit rejects an invalid
+/// [`EngineKind::Hybrid`] configuration (see [`EngineError`]).
 pub fn run(job: &Job) -> Result<JobResult, EngineError> {
     run_traced(job, &mut NullSink)
 }
@@ -188,10 +189,9 @@ pub fn run(job: &Job) -> Result<JobResult, EngineError> {
 ///
 /// # Errors
 ///
-/// Fails with [`EngineError`] if a shard's engine fails (a
-/// [`EngineKind::Symbolic`] node-limit hit, or an invalid configuration).
-/// All units still run and their traces are still replayed; the lowest-id
-/// failure is reported.
+/// Fails with [`EngineError`] if a unit rejects an invalid
+/// [`EngineKind::Hybrid`] configuration. All units still run and their
+/// traces are still replayed; the lowest-id failure is reported.
 pub fn run_traced(job: &Job, sink: &mut dyn TraceSink) -> Result<JobResult, EngineError> {
     let start = Instant::now();
     let units = job.units.unwrap_or_else(|| default_units(job.faults.len()));
@@ -417,23 +417,30 @@ mod tests {
 
     #[test]
     fn node_limit_error_is_deterministic() {
-        // A symbolic job with an impossible node limit must fail on the
-        // same unit every time.
+        // Symbolic units carry no node limit, so only an invalid hybrid
+        // config makes a unit fail. Every unit fails here; for any worker
+        // count the lowest id is reported and all unit brackets replay.
         let (n, faults, seq) = setup(6);
-        let job = Job::new(&n, &seq, &faults, EngineKind::Symbolic(Strategy::Mot));
-        let fail = |jobs: usize| {
-            let mut job = job.jobs(jobs);
-            job.units = Some(4);
-            // Hybrid absorbs limits, so provoke the error symbolically via
-            // a manager too small for even one frame.
-            match run(&job) {
-                Err(e) => e.unit,
-                Ok(_) => None,
-            }
+        let config = HybridConfig {
+            fallback_frames: 0,
+            ..HybridConfig::default()
         };
-        // The default symbolic engine has no node limit, so this job
-        // simply succeeds — what matters is both paths agree.
-        assert_eq!(fail(1), fail(4));
+        let job = Job::new(&n, &seq, &faults, EngineKind::Hybrid(Strategy::Mot, config)).units(4);
+        for jobs in [1, 4] {
+            let mut sink = CollectSink::new();
+            let err = run_traced(&job.jobs(jobs), &mut sink).unwrap_err();
+            assert_eq!(err.unit, Some(0), "jobs {jobs}");
+            assert!(
+                matches!(err.source, SimError::Config(_)),
+                "jobs {jobs}: {err}"
+            );
+            let starts = sink
+                .events()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::UnitStart { .. }))
+                .count();
+            assert_eq!(starts, 4, "jobs {jobs}: every unit's trace is replayed");
+        }
     }
 
     #[test]

@@ -5,8 +5,7 @@
 use motsim::exhaustive;
 use motsim::symbolic::{Strategy, SymbolicFaultSim};
 use motsim::{Fault, FaultList, TestSequence};
-use motsim_netlist::builder::NetlistBuilder;
-use motsim_netlist::{GateKind, Lead, Netlist};
+use motsim_netlist::{Lead, Netlist};
 
 fn run(netlist: &Netlist, strategy: Strategy, fault: Fault, seq: &TestSequence) -> bool {
     SymbolicFaultSim::new(netlist, strategy)
@@ -19,18 +18,8 @@ fn run(netlist: &Netlist, strategy: Strategy, fault: Fault, seq: &TestSequence) 
 /// Fig. 1 circuit and its pinned two-frame sequence: an uninitialized
 /// hold flip-flop XOR-mixed into the output.
 fn fig1() -> (Netlist, TestSequence) {
-    let mut b = NetlistBuilder::new("fig1");
-    let a = b.add_input("A").unwrap();
-    let c = b.add_input("B").unwrap();
-    let q = b.add_dff("Q").unwrap();
-    let keep = b.add_gate("KEEP", GateKind::Buf, vec![q]).unwrap();
-    b.connect_dff(q, keep).unwrap();
-    let x = b.add_gate("XR", GateKind::Xor, vec![a, q]).unwrap();
-    let o = b.add_gate("O", GateKind::Xor, vec![x, c]).unwrap();
-    b.add_output(o);
-    let n = b.finish().unwrap();
     let seq = TestSequence::new(2, vec![vec![true, false], vec![false, false]]);
-    (n, seq)
+    (motsim_circuits::fig1(), seq)
 }
 
 /// Fig. 2 circuit and sequence: the 3-bit counter with the
@@ -48,16 +37,8 @@ fn fig2() -> (Netlist, TestSequence) {
 /// Fig. 3 circuit and its pinned sequence: the worked example with
 /// fault-free outputs (x, x̄) and faulty outputs (ȳ, ȳ).
 fn fig3() -> (Netlist, TestSequence) {
-    let mut b = NetlistBuilder::new("fig3");
-    let a = b.add_input("A").unwrap();
-    let q = b.add_dff("Q").unwrap();
-    let keep = b.add_gate("KEEP", GateKind::Buf, vec![q]).unwrap();
-    b.connect_dff(q, keep).unwrap();
-    let o = b.add_gate("O", GateKind::Xnor, vec![a, q]).unwrap();
-    b.add_output(o);
-    let n = b.finish().unwrap();
     let seq = TestSequence::new(1, vec![vec![true], vec![false]]);
-    (n, seq)
+    (motsim_circuits::fig3(), seq)
 }
 
 /// Fig. 1: both machines uninitialized; no single observation time works,
