@@ -101,6 +101,17 @@ cargo run --release -q -p motsim-cli --bin motsim -- tables table1 --quick --len
   >"$TRACE_DIR/table1.txt"
 grep -q '^      g27        s27      32' "$TRACE_DIR/table1.txt"
 
+echo "==> smoke: closed stdout and strict options"
+# A reader that stops early must end the run quietly with status 0 (this
+# script runs under pipefail), and an option a command does not read must
+# exit 2 before any output or trace file is written.
+cargo run --release -q -p motsim-cli --bin motsim -- faults g5378 | head -1 >/dev/null
+status=0
+cargo run --release -q -p motsim-cli --bin motsim -- \
+  tables table2 --trace "$TRACE_DIR/x.jsonl" >/dev/null 2>&1 || status=$?
+test "$status" -eq 2
+test ! -e "$TRACE_DIR/x.jsonl"
+
 echo "==> smoke: differential fuzzing (pinned seed, determinism)"
 # The in-tree property harness must find zero counterexamples on the
 # pinned seed, and its report must be byte-identical across runs.

@@ -1,37 +1,49 @@
 //! `motsim` — command-line front end for the symbolic fault simulator.
 //!
 //! ```text
-//! motsim stats      <circuit>
-//! motsim faults     <circuit> [--complete]
-//! motsim sim3       <circuit> [--len N] [--seed S] [--no-xred] [--jobs N]
-//! motsim strategies <circuit> [--len N] [--seed S] [--limit NODES] [--jobs N]
-//! motsim xred       <circuit> [--len N] [--seed S] [--static] [--jobs N]
-//! motsim tgen       <circuit> [--max-len N] [--seed S] [--compact]
-//! motsim synch      <circuit> [--max-len N] [--seed S]
-//! motsim testeval   <circuit> [--len N] [--seed S] [--limit NODES]
-//! motsim diagnose   <circuit> [--len N] [--seed S] [--inject FAULT#]
-//! motsim dot        <circuit> [--len N] [--seed S] [--output J]
-//! motsim vcd        <circuit> [--len N] [--seed S] [--inject K] [--all-nets]
-//! motsim scoap      <circuit>
+//! motsim stats       <circuit>
+//! motsim faults      <circuit> [--complete]
+//! motsim sim3        <circuit> [--len N] [--seed S] [--quick] [--no-xred] [--jobs N]
+//!                    [--units N] [--bdd-stats] [--trace FILE] [--trace-summary]
+//! motsim strategies  <circuit> [--len N] [--seed S] [--quick] [--limit NODES] [--jobs N]
+//!                    [--units N] [--reorder none|sift] [--bdd-stats] [--trace FILE]
+//!                    [--trace-summary]
+//! motsim xred        <circuit> [--len N] [--seed S] [--quick] [--static] [--jobs N]
+//!                    [--trace FILE] [--trace-summary]
+//! motsim tgen        <circuit> [--max-len N] [--seed S]
+//! motsim synch       <circuit> [--max-len N] [--seed S]
+//! motsim testeval    <circuit> [--len N] [--seed S] [--quick] [--limit NODES]
+//! motsim dot         <circuit> [--len N] [--seed S] [--quick] [--output J]
+//! motsim vcd         <circuit> [--len N] [--seed S] [--quick] [--inject K] [--all-nets]
 //! motsim list
 //! motsim trace-check <file.jsonl>
-//! motsim fuzz [--seed S] [--cases N] [--max-dffs M]
-//! motsim tables <table1|table2|table3|table4|figs|limits|all> [--len N] [--seed S]
-//!               [--jobs N] [--quick]
+//! motsim tables      <table1|table2|table3|table4|figs|limits|all> [--len N] [--seed S]
+//!                    [--quick] [--limit NODES] [--jobs N] [--units N] [--reorder none|sift]
+//! motsim fuzz        [--seed S] [--cases N] [--max-dffs M]
 //! ```
 //!
-//! `<circuit>` is either a built-in suite name (`g208`, `g298`, … — see
-//! `motsim list`) or a path to an ISCAS-89 `.bench` file. `motsim tables`
-//! regenerates the paper's Tables I–IV, the Fig. 1–3 walkthroughs and the
-//! node-limit sweep (see the [`tables`] module).
+//! Each command takes only the options listed with it: any other option,
+//! or an extra argument, exits with status 2 before anything is printed.
+//! `--seed` takes a decimal or a `0x` hexadecimal number. `<circuit>` is
+//! either a built-in suite name (`g208`, `g298`, … — see `motsim list`) or
+//! a path to an ISCAS-89 `.bench` file. `motsim tables` regenerates the
+//! paper's Tables I–IV, the Fig. 1–3 walkthroughs and the node-limit sweep
+//! (see the [`tables`] module).
 
-use std::collections::BTreeSet;
+use std::fmt;
+use std::io::{ErrorKind, Write};
 use std::process::exit;
 use std::time::Instant;
 
+/// `println!` for command output, through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod tables;
 
-use motsim::dictionary::FaultDictionary;
 use motsim::faults::FaultList;
 use motsim::hybrid::HybridConfig;
 use motsim::pattern::TestSequence;
@@ -47,70 +59,155 @@ use motsim_netlist::analysis::NetlistStats;
 use motsim_netlist::Netlist;
 use motsim_trace::{JsonlSink, TraceEvent, TraceSink};
 
-const USAGE: &str = "\
-usage: motsim <command> <circuit> [options]
+/// Every command: its name, its positional argument (empty if none), the
+/// options it reads and a summary. [`parse_opts`] rejects every option a
+/// command does not list here, and the usage text is built from this
+/// table.
+const COMMANDS: &[(&str, &str, &str, &str)] = &[
+    (
+        "stats",
+        "<circuit>",
+        "",
+        "structural statistics of the circuit",
+    ),
+    (
+        "faults",
+        "<circuit>",
+        "--complete",
+        "print the collapsed stuck-at fault list",
+    ),
+    (
+        "sim3",
+        "<circuit>",
+        "--len --seed --quick --no-xred --jobs --units --bdd-stats --trace --trace-summary",
+        "three-valued fault simulation (with ID_X-red pre-pass)",
+    ),
+    (
+        "strategies",
+        "<circuit>",
+        "--len --seed --quick --limit --jobs --units --reorder --bdd-stats --trace \
+         --trace-summary",
+        "compare SOT / rMOT / MOT coverage (hybrid, node-limited)",
+    ),
+    (
+        "xred",
+        "<circuit>",
+        "--len --seed --quick --static --jobs --trace --trace-summary",
+        "X-redundancy analysis (add --static for any-sequence mode)",
+    ),
+    (
+        "tgen",
+        "<circuit>",
+        "--max-len --seed",
+        "generate a compact fault-oriented test sequence",
+    ),
+    (
+        "synch",
+        "<circuit>",
+        "--max-len --seed",
+        "search for a synchronizing sequence (symbolic)",
+    ),
+    (
+        "testeval",
+        "<circuit>",
+        "--len --seed --quick --limit",
+        "symbolic test evaluation demo (accept good / reject bad)",
+    ),
+    (
+        "dot",
+        "<circuit>",
+        "--len --seed --quick --output",
+        "Graphviz dump of a symbolic output function",
+    ),
+    (
+        "vcd",
+        "<circuit>",
+        "--len --seed --quick --inject --all-nets",
+        "Value Change Dump of a (faulty) simulation to stdout",
+    ),
+    ("list", "", "", "list the built-in benchmark suite"),
+    (
+        "trace-check",
+        "<file.jsonl>",
+        "",
+        "validate a --trace JSONL file (schema + frame order)",
+    ),
+    (
+        "tables",
+        "<table>",
+        "--len --seed --quick --limit --jobs --units --reorder",
+        "regenerate the paper's experiments (see below)",
+    ),
+    (
+        "fuzz",
+        "",
+        "--seed --cases --max-dffs",
+        "differential fuzzing of every engine (see below)",
+    ),
+];
 
-commands:
-  stats       structural statistics of the circuit
-  faults      print the collapsed stuck-at fault list
-  sim3        three-valued fault simulation (with ID_X-red pre-pass)
-  strategies  compare SOT / rMOT / MOT coverage (hybrid, node-limited)
-  xred        X-redundancy analysis (add --static for any-sequence mode)
-  tgen        generate a compact fault-oriented test sequence
-  synch       search for a synchronizing sequence (symbolic)
-  testeval    symbolic test evaluation demo (accept good / reject bad)
-  diagnose    fault-dictionary diagnosis demo
-  dot         Graphviz dump of a symbolic output function
-  vcd         Value Change Dump of a (faulty) simulation to stdout
-  scoap       SCOAP testability measures (CC0/CC1/CO per net)
-  list        list the built-in benchmark suite
-  trace-check validate a --trace JSONL file (schema + frame monotonicity)
-  fuzz        differential fuzzing: random circuits through every engine,
-              cross-checked law by law; counterexamples are shrunk to
-              minimal reproducers. Takes no <circuit>; options:
-              --seed S (master seed), --cases N (cases per law, default
-              32), --max-dffs M (flip-flop cap 1..=16, default 5).
-              Output is deterministic in the options; exits 1 if any
-              law is violated
-  tables      regenerate the paper's experiments; takes a table name
-              instead of <circuit>: table1 (ID_X-red speedup), table2
-              (SOT/rMOT/MOT, random), table3 (SOT/rMOT/MOT, deterministic),
-              table4 (symbolic test evaluation), figs (Fig. 1-3
-              walkthroughs), limits (node-limit sweep) or all
-
+const OPTIONS: &str = "\
 <circuit> is a suite name (try `motsim list`) or a .bench file path.
+<table> is table1 (ID_X-red speedup), table2 (SOT/rMOT/MOT, random),
+table3 (SOT/rMOT/MOT, deterministic), table4 (symbolic test evaluation),
+figs (Fig. 1-3 walkthroughs), limits (node-limit sweep) or all.
+fuzz cross-checks the engines law by law on random circuits, shrinks each
+counterexample to a reproducer, and exits 1 if any law is violated.
 
-options: --len N  --seed S  --limit NODES  --max-len N  --complete
-         --static  --inject K  --output J  --no-xred  --all-nets  --compact
-         --jobs N  (worker threads for sim3/strategies/xred/tables; the
-                    result is identical for every N — see DESIGN.md §8)
-         --units N  (fixed work-unit count for sim3/strategies/tables;
-                    default 0 = auto-sized. For strategies and tables it
-                    shapes only the hybrid runs, not the three-valued
-                    pre-pass. More units mean fewer faults — and smaller
-                    BDDs — per unit, which shifts where the hybrid node
-                    limit bites, so hybrid verdicts can change with N — see
-                    DESIGN.md §8; exact and three-valued verdicts do not)
-         --quick  (a shorter run: --len defaults to 50 instead of 200;
-                    tables also skip their largest circuits and cap Table
-                    III's sequences at 120 vectors instead of 400)
-         --reorder none|sift  (response to symbolic node-limit pressure in
-                    hybrid runs: `sift` tries one dynamic-reordering pass
-                    before the three-valued fallback; default `none`)
-         --bdd-stats  (print BDD-manager usage — peak nodes, gc runs
-                       (full collections; sifting swaps free nodes without
-                       one), ITE cache hit rate, unique-table probe length,
-                       reorder and fallback counts — after sim3/strategies/
-                       xred runs)
-         --trace FILE  (stream structured JSONL telemetry of sim3/strategies/
-                       xred runs to FILE: per-frame node counts, node-limit
-                       hits, sift passes, fallback spans, unit brackets.
-                       The stream is byte-identical for every --jobs value;
-                       validate with `motsim trace-check FILE`)
-         --trace-summary  (print an event-count summary of the same
-                       telemetry to stderr after the run)";
+options (each command takes only those listed with it):
+  --len N        random test-sequence length (default 200)
+  --seed S       random seed, decimal or 0x hex (default 0xDAC95)
+  --quick        --len defaults to 50; tables also skip their largest
+                 circuits and cap Table III's sequences at 120 vectors
+  --limit NODES  BDD node limit of hybrid runs and testeval (default 30000)
+  --max-len N    longest sequence tgen/synch may build (default 400)
+  --complete     the complete fault list instead of the collapsed one
+  --static       X-redundancy for any sequence, not just the random one
+  --no-xred      skip the ID_X-red pre-pass
+  --inject K     simulate collapsed fault #K (1-based; default 0 = none)
+  --output J     which primary output to dump (default 0)
+  --all-nets     dump every net, not just the interface
+  --jobs N       worker threads (default 1); results do not depend on N
+  --units N      fixed work-unit count (default 0 = auto); for strategies
+                 and tables it shapes only the hybrid runs, whose verdicts
+                 can change with N (DESIGN.md §8)
+  --reorder none|sift
+                 on node-limit pressure, `sift` tries one reordering pass
+                 before the three-valued fallback (default `none`)
+  --bdd-stats    print BDD usage: peak nodes, gc runs, ITE cache hit rate,
+                 unique-table probe length, reorder and fallback counts
+  --trace FILE   stream JSONL telemetry to FILE, byte-identical for every
+                 --jobs value; validate with `motsim trace-check FILE`
+  --trace-summary
+                 print an event-count summary of that telemetry to stderr
+  --cases N      fuzz cases per law (default 32)
+  --max-dffs M   flip-flop cap of the fuzzed circuits, 1..=16 (default 5)";
 
-#[derive(Debug)]
+/// The usage text: every command with the options it takes.
+fn usage() -> String {
+    let mut text = String::from("usage: motsim <command> [<circuit>] [options]\n\ncommands:\n");
+    for (name, arg, opts, about) in COMMANDS {
+        let head = format!("  {name} {arg}");
+        text.push_str(&format!("{:<28} {about}\n", head.trim_end()));
+        let mut line = format!("{:<28} options:", "");
+        for opt in opts.split_whitespace() {
+            if line.len() + 1 + opt.len() > 80 {
+                text.push_str(&line);
+                line = format!("\n{:<37}", "");
+            }
+            line.push(' ');
+            line.push_str(opt);
+        }
+        if !opts.is_empty() {
+            text.push_str(&line);
+            text.push('\n');
+        }
+    }
+    text.push('\n');
+    text.push_str(OPTIONS);
+    text
+}
+
 struct Opts {
     len: usize,
     seed: u64,
@@ -122,7 +219,6 @@ struct Opts {
     inject: usize,
     output: usize,
     all_nets: bool,
-    compact: bool,
     jobs: usize,
     units: usize,
     bdd_stats: bool,
@@ -130,6 +226,8 @@ struct Opts {
     trace: Option<String>,
     trace_summary: bool,
     quick: bool,
+    cases: usize,
+    max_dffs: usize,
 }
 
 impl Default for Opts {
@@ -145,7 +243,6 @@ impl Default for Opts {
             inject: 0,
             output: 0,
             all_nets: false,
-            compact: false,
             jobs: 1,
             units: 0,
             bdd_stats: false,
@@ -153,73 +250,106 @@ impl Default for Opts {
             trace: None,
             trace_summary: false,
             quick: false,
+            cases: 32,
+            max_dffs: 5,
         }
     }
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\n{USAGE}");
+    eprintln!("error: {msg}\n\n{}", usage());
     exit(2)
 }
 
-fn parse_opts(args: &[String]) -> Opts {
+/// Writes command output to stdout; all output goes through here. A
+/// reader that closed the pipe early (`motsim faults g5378 | head -1`)
+/// ends the program quietly with status 0; any other write error ends it
+/// with status 2.
+fn write_stdout(args: fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        exit(2);
+    }
+}
+
+/// Parses the options of command `cmd`, which reads the space-separated
+/// `accepted` ones: any other option, or any stray argument, exits with
+/// status 2.
+fn parse_opts(cmd: &str, accepted: &str, args: &[String]) -> Opts {
+    fn value<'a>(args: &mut std::slice::Iter<'a, String>, opt: &str, what: &str) -> &'a str {
+        args.next()
+            .unwrap_or_else(|| die(&format!("{opt} needs {what}")))
+    }
+    fn number(args: &mut std::slice::Iter<'_, String>, opt: &str) -> usize {
+        value(args, opt, "a number")
+            .parse()
+            .unwrap_or_else(|_| die(&format!("{opt} needs a number")))
+    }
+
     let mut o = Opts::default();
     let mut len_given = false;
-    let mut i = 0;
-    let num = |args: &[String], i: &mut usize, what: &str| -> usize {
-        *i += 1;
-        args.get(*i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| die(&format!("{what} needs a number")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(opt) = args.next() {
+        let opt = opt.as_str();
+        if !accepted.split_whitespace().any(|o| o == opt) {
+            die(&format!("`{cmd}` does not take `{opt}`"));
+        }
+        match opt {
             "--len" => {
-                o.len = num(args, &mut i, "--len");
+                o.len = number(&mut args, opt);
                 len_given = true;
             }
-            "--seed" => o.seed = num(args, &mut i, "--seed") as u64,
-            "--limit" => {
-                o.limit = num(args, &mut i, "--limit");
-                if o.limit == 0 {
-                    die("--limit must be at least 1");
+            "--seed" => {
+                let v = value(&mut args, opt, "a number");
+                o.seed = match v.strip_prefix("0x") {
+                    Some(hex) => u64::from_str_radix(hex, 16),
+                    None => v.parse(),
                 }
+                .unwrap_or_else(|_| die("--seed needs a number"));
             }
-            "--max-len" => o.max_len = num(args, &mut i, "--max-len"),
-            "--inject" => o.inject = num(args, &mut i, "--inject"),
-            "--jobs" => o.jobs = num(args, &mut i, "--jobs").max(1),
-            "--units" => o.units = num(args, &mut i, "--units"),
-            "--output" => o.output = num(args, &mut i, "--output"),
+            "--limit" => o.limit = number(&mut args, opt),
+            "--max-len" => o.max_len = number(&mut args, opt),
+            "--inject" => o.inject = number(&mut args, opt),
+            "--jobs" => o.jobs = number(&mut args, opt),
+            "--units" => o.units = number(&mut args, opt),
+            "--output" => o.output = number(&mut args, opt),
+            "--cases" => o.cases = number(&mut args, opt),
+            "--max-dffs" => o.max_dffs = number(&mut args, opt),
             "--complete" => o.complete = true,
             "--static" => o.static_mode = true,
             "--no-xred" => o.no_xred = true,
             "--all-nets" => o.all_nets = true,
-            "--compact" => o.compact = true,
             "--bdd-stats" => o.bdd_stats = true,
-            "--trace" => {
-                i += 1;
-                o.trace = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--trace needs a file path")),
-                );
-            }
+            "--trace" => o.trace = Some(value(&mut args, opt, "a file path").to_owned()),
             "--trace-summary" => o.trace_summary = true,
             "--quick" => o.quick = true,
             "--reorder" => {
-                i += 1;
-                o.reorder = match args.get(i).map(String::as_str) {
-                    Some("none") => motsim::hybrid::ReorderPolicy::None,
-                    Some("sift") => motsim::hybrid::ReorderPolicy::Sift,
+                o.reorder = match value(&mut args, opt, "`none` or `sift`") {
+                    "none" => motsim::hybrid::ReorderPolicy::None,
+                    "sift" => motsim::hybrid::ReorderPolicy::Sift,
                     _ => die("--reorder needs `none` or `sift`"),
-                };
+                }
             }
-            other => die(&format!("unknown option `{other}`")),
+            _ => unreachable!("`{opt}` is listed for `{cmd}` but not parsed"),
         }
-        i += 1;
     }
     if o.quick && !len_given {
         o.len = 50;
+    }
+    for (opt, n) in [
+        ("--limit", o.limit),
+        ("--jobs", o.jobs),
+        ("--cases", o.cases),
+    ] {
+        if n == 0 {
+            die(&format!("{opt} must be at least 1"));
+        }
+    }
+    if !(1..=16).contains(&o.max_dffs) {
+        die("--max-dffs must be in 1..=16 (the oracle enumerates 2^m states)");
     }
     o
 }
@@ -382,13 +512,12 @@ impl TraceSink for TraceOut {
     }
 }
 
-/// Prints the BDD usage of a run (the `--bdd-stats` flag). The second line
-/// is the pressure-response summary: sifting passes, level swaps, and how
-/// many frames still had to run three-valued.
-fn print_bdd_stats(bdd: &motsim::BddUsage, fallback_frames: usize) {
+/// The BDD usage of a run, as the `--bdd-stats` flag prints it. The second
+/// line is the pressure-response summary: sifting passes, level swaps, and
+/// how many frames still had to run three-valued.
+fn bdd_stats(bdd: &motsim::BddUsage, fallback_frames: usize) -> String {
     if bdd.unique_lookups == 0 && bdd.cache_misses == 0 {
-        println!("  bdd: no symbolic work performed");
-        return;
+        return "  bdd: no symbolic work performed".to_owned();
     }
     let rate = bdd
         .cache_hit_rate()
@@ -398,14 +527,17 @@ fn print_bdd_stats(bdd: &motsim::BddUsage, fallback_frames: usize) {
         .avg_probe_len()
         .map(|p| format!("{p:.2}"))
         .unwrap_or_else(|| "n/a".to_owned());
-    println!(
-        "  bdd: peak {} node(s), {} gc run(s), ite cache hit rate {}, avg unique-table probe {}",
-        bdd.peak_live_nodes, bdd.gc_runs, rate, probe
-    );
-    println!(
-        "  reorder: {} sifting pass(es), {} level swap(s); {} fallback frame(s)",
-        bdd.reorder_runs, bdd.reorder_swaps, fallback_frames
-    );
+    format!(
+        "  bdd: peak {} node(s), {} gc run(s), ite cache hit rate {}, avg unique-table probe {}\n  \
+         reorder: {} sifting pass(es), {} level swap(s); {} fallback frame(s)",
+        bdd.peak_live_nodes,
+        bdd.gc_runs,
+        rate,
+        probe,
+        bdd.reorder_runs,
+        bdd.reorder_swaps,
+        fallback_frames
+    )
 }
 
 fn load_circuit(name: &str) -> Netlist {
@@ -434,50 +566,35 @@ fn load_circuit(name: &str) -> Netlist {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         die("missing command")
     };
-    if cmd == "list" {
-        cmd_list();
-        return;
-    }
-    if cmd == "trace-check" {
-        let Some(path) = args.get(1) else {
-            die("trace-check needs a .jsonl file path")
-        };
-        cmd_trace_check(path);
-        return;
-    }
-    if cmd == "fuzz" {
-        cmd_fuzz(&args[1..]);
-        return;
-    }
-    if cmd == "tables" {
-        let Some(table) = args.get(1) else {
-            die("tables needs a table name")
-        };
-        tables::run(table, &parse_opts(&args[2..]));
-        return;
-    }
-    let Some(circuit) = args.get(1) else {
-        die("missing circuit")
+    let Some(&(cmd, what, accepted, _)) = COMMANDS.iter().find(|c| c.0 == name) else {
+        die(&format!("unknown command `{name}`"))
     };
-    let netlist = load_circuit(circuit);
-    let opts = parse_opts(&args[2..]);
-    match cmd.as_str() {
-        "stats" => cmd_stats(&netlist),
-        "faults" => cmd_faults(&netlist, &opts),
-        "sim3" => cmd_sim3(&netlist, &opts),
-        "strategies" => cmd_strategies(&netlist, &opts),
-        "xred" => cmd_xred(&netlist, &opts),
-        "tgen" => cmd_tgen(&netlist, &opts),
-        "synch" => cmd_synch(&netlist, &opts),
-        "testeval" => cmd_testeval(&netlist, &opts),
-        "diagnose" => cmd_diagnose(&netlist, &opts),
-        "dot" => cmd_dot(&netlist, &opts),
-        "vcd" => cmd_vcd(&netlist, &opts),
-        "scoap" => cmd_scoap(&netlist),
-        other => die(&format!("unknown command `{other}`")),
+    let (arg, rest) = match args.get(1) {
+        _ if what.is_empty() => ("", &args[1..]),
+        Some(arg) if !arg.starts_with("--") => (arg.as_str(), &args[2..]),
+        _ => die(&format!("`{cmd}` needs {what}")),
+    };
+    let opts = parse_opts(cmd, accepted, rest);
+    let netlist = || load_circuit(arg);
+    match cmd {
+        "list" => cmd_list(),
+        "trace-check" => cmd_trace_check(arg),
+        "fuzz" => cmd_fuzz(&opts),
+        "tables" => tables::run(arg, &opts),
+        "stats" => cmd_stats(&netlist()),
+        "faults" => cmd_faults(&netlist(), &opts),
+        "sim3" => cmd_sim3(&netlist(), &opts),
+        "strategies" => cmd_strategies(&netlist(), &opts),
+        "xred" => cmd_xred(&netlist(), &opts),
+        "tgen" => cmd_tgen(&netlist(), &opts),
+        "synch" => cmd_synch(&netlist(), &opts),
+        "testeval" => cmd_testeval(&netlist(), &opts),
+        "dot" => cmd_dot(&netlist(), &opts),
+        "vcd" => cmd_vcd(&netlist(), &opts),
+        other => unreachable!("`{other}` has no handler"),
     }
 }
 
@@ -530,7 +647,7 @@ fn cmd_trace_check(path: &str) {
         eprintln!("error: `{path}` holds no trace events");
         exit(1);
     }
-    println!(
+    outln!(
         "{path}: {events} event(s), {runs} engine run(s), {units} unit bracket(s); \
          frames monotone per unit"
     );
@@ -540,47 +657,8 @@ fn cmd_trace_check(path: &str) {
 /// `motsim-check`, each over `--cases` random cases; counterexamples are
 /// shrunk and dumped as self-contained reproducers. The output carries no
 /// timing, so two runs with identical options are byte-identical.
-fn cmd_fuzz(args: &[String]) {
-    let mut seed: u64 = 0xDAC95;
-    let mut cases: usize = 32;
-    let mut max_dffs: usize = 5;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| -> &str {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
-        };
-        match flag.as_str() {
-            "--seed" => {
-                let v = value("a seed");
-                seed = v
-                    .strip_prefix("0x")
-                    .map(|h| u64::from_str_radix(h, 16))
-                    .unwrap_or_else(|| v.parse())
-                    .unwrap_or_else(|_| die(&format!("invalid seed `{v}`")));
-            }
-            "--cases" => {
-                let v = value("a count");
-                cases = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("invalid case count `{v}`")));
-            }
-            "--max-dffs" => {
-                let v = value("a flip-flop cap");
-                max_dffs = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("invalid flip-flop cap `{v}`")));
-            }
-            other => die(&format!("unknown fuzz option `{other}`")),
-        }
-    }
-    if cases == 0 {
-        die("--cases must be at least 1");
-    }
-    if !(1..=16).contains(&max_dffs) {
-        die("--max-dffs must be in 1..=16 (the oracle enumerates 2^m states)");
-    }
-
+fn cmd_fuzz(opts: &Opts) {
+    let (seed, cases, max_dffs) = (opts.seed, opts.cases, opts.max_dffs);
     let config = motsim_check::Config {
         cases,
         seed,
@@ -591,14 +669,18 @@ fn cmd_fuzz(args: &[String]) {
     let mut bad = 0usize;
     for report in reports {
         match report.counterexample {
-            None => println!("ok   {:<26} {} case(s)", report.law, report.cases),
+            None => outln!("ok   {:<26} {} case(s)", report.law, report.cases),
             Some(cex) => {
                 bad += 1;
-                println!(
+                outln!(
                     "FAIL {:<26} case {} (seed {:#x}), {} shrink step(s): {}",
-                    report.law, cex.case_index, cex.case_seed, cex.shrink_steps, cex.message
+                    report.law,
+                    cex.case_index,
+                    cex.case_seed,
+                    cex.shrink_steps,
+                    cex.message
                 );
-                println!(
+                outln!(
                     "     shrunk to {} gate(s), {} flip-flop(s), {} frame(s), {} fault(s):",
                     cex.shrunk.netlist.num_gates(),
                     cex.shrunk.netlist.num_dffs(),
@@ -606,12 +688,12 @@ fn cmd_fuzz(args: &[String]) {
                     cex.shrunk.faults.len()
                 );
                 for line in cex.shrunk.reproducer().lines() {
-                    println!("     {line}");
+                    outln!("     {line}");
                 }
             }
         }
     }
-    println!(
+    outln!(
         "fuzz: {laws} law(s), {cases} case(s) each, {bad} counterexample(s) \
          (seed {seed:#x}, max-dffs {max_dffs})"
     );
@@ -621,10 +703,10 @@ fn cmd_fuzz(args: &[String]) {
 }
 
 fn cmd_list() {
-    println!("built-in benchmark suite:");
+    outln!("built-in benchmark suite:");
     for s in motsim_circuits::suite::all() {
         let n = (s.build)();
-        println!(
+        outln!(
             "  {:<10} ({:>9})  {:>3} PI {:>3} PO {:>4} FF {:>5} gates",
             s.name,
             s.paper_name,
@@ -638,21 +720,22 @@ fn cmd_list() {
 
 fn cmd_stats(netlist: &Netlist) {
     let st = NetlistStats::of(netlist);
-    println!("circuit {}", netlist.name());
-    println!("  inputs      {}", st.inputs);
-    println!("  outputs     {}", st.outputs);
-    println!("  flip-flops  {}", st.dffs);
-    println!("  gates       {}", st.gates);
-    println!("  depth       {}", st.depth);
-    println!("  stems       {}", st.stems);
-    println!("  max fanout  {}", st.max_fanout);
-    print!("  gate mix    ");
-    for (k, c) in &st.kind_histogram {
-        print!("{k}:{c} ");
-    }
-    println!();
+    outln!("circuit {}", netlist.name());
+    outln!("  inputs      {}", st.inputs);
+    outln!("  outputs     {}", st.outputs);
+    outln!("  flip-flops  {}", st.dffs);
+    outln!("  gates       {}", st.gates);
+    outln!("  depth       {}", st.depth);
+    outln!("  stems       {}", st.stems);
+    outln!("  max fanout  {}", st.max_fanout);
+    let mix: String = st
+        .kind_histogram
+        .iter()
+        .map(|(k, c)| format!("{k}:{c} "))
+        .collect();
+    outln!("  gate mix    {mix}");
     let faults = FaultList::collapsed(netlist);
-    println!(
+    outln!(
         "  faults      {} collapsed / {} complete",
         faults.len(),
         faults.complete_len()
@@ -666,7 +749,7 @@ fn cmd_faults(netlist: &Netlist, opts: &Opts) {
         FaultList::collapsed(netlist)
     };
     for (i, f) in list.iter().enumerate() {
-        println!("{i:>5}  {}", f.display(netlist));
+        outln!("{i:>5}  {}", f.display(netlist));
     }
     eprintln!("{} faults", list.len());
 }
@@ -695,7 +778,7 @@ fn cmd_sim3(netlist: &Netlist, opts: &Opts) {
     )
     .outcome;
     trace.finish(opts);
-    println!(
+    outln!(
         "{} vectors, {} faults ({} X-redundant eliminated): {} detected in {:?}",
         opts.len,
         faults.len(),
@@ -703,12 +786,12 @@ fn cmd_sim3(netlist: &Netlist, opts: &Opts) {
         outcome.num_detected(),
         t0.elapsed()
     );
-    println!(
+    outln!(
         "three-valued coverage (lower bound): {:.2}%",
         100.0 * outcome.num_detected() as f64 / faults.len() as f64
     );
     if opts.bdd_stats {
-        print_bdd_stats(&outcome.bdd, outcome.fallback_frames);
+        outln!("{}", bdd_stats(&outcome.bdd, outcome.fallback_frames));
     }
 }
 
@@ -717,17 +800,19 @@ fn cmd_strategies(netlist: &Netlist, opts: &Opts) {
     let seq = TestSequence::random(netlist, opts.len, opts.seed);
     let mut trace = TraceOut::from_opts(opts);
     let hard = three_valued_prepass(netlist, &seq, faults.as_slice(), opts, &mut trace);
-    println!(
+    // The report is held back until the trace is complete, so a reader
+    // that closes stdout early cannot leave the trace file cut short.
+    let mut report = vec![format!(
         "{}: |F| = {}, three-valued detects {}, {} hard faults remain",
         netlist.name(),
         faults.len(),
         faults.len() - hard.len(),
         hard.len()
-    );
+    )];
     for strategy in Strategy::ALL {
         let t0 = Instant::now();
         let r = hybrid_run(netlist, &seq, &hard, strategy, opts, &mut trace);
-        println!(
+        report.push(format!(
             "  {strategy:>4}: +{:<5} detected{} in {:?} ({} unit(s), {} worker(s))",
             r.outcome.num_detected(),
             if r.outcome.is_approximate() {
@@ -738,12 +823,15 @@ fn cmd_strategies(netlist: &Netlist, opts: &Opts) {
             t0.elapsed(),
             r.units,
             r.workers
-        );
+        ));
         if opts.bdd_stats {
-            print_bdd_stats(&r.outcome.bdd, r.outcome.fallback_frames);
+            report.push(bdd_stats(&r.outcome.bdd, r.outcome.fallback_frames));
         }
     }
     trace.finish(opts);
+    for line in report {
+        outln!("{line}");
+    }
 }
 
 fn cmd_xred(netlist: &Netlist, opts: &Opts) {
@@ -764,7 +852,7 @@ fn cmd_xred(netlist: &Netlist, opts: &Opts) {
         });
     }
     trace.finish(opts);
-    println!(
+    outln!(
         "{} of {} faults are X-redundant ({}, {:?})",
         red.len(),
         faults.len(),
@@ -775,17 +863,13 @@ fn cmd_xred(netlist: &Netlist, opts: &Opts) {
         },
         t0.elapsed()
     );
-    println!("{} faults remain for simulation", rest.len());
-    if opts.bdd_stats {
-        // X-redundancy analysis is purely three-valued — no BDD manager.
-        print_bdd_stats(&motsim::BddUsage::default(), 0);
-    }
+    outln!("{} faults remain for simulation", rest.len());
 }
 
 fn cmd_tgen(netlist: &Netlist, opts: &Opts) {
     let faults = FaultList::collapsed(netlist);
     let t0 = Instant::now();
-    let mut seq = tgen::generate(
+    let seq = tgen::generate(
         netlist,
         faults.iter().cloned(),
         TgenConfig {
@@ -794,17 +878,6 @@ fn cmd_tgen(netlist: &Netlist, opts: &Opts) {
             ..TgenConfig::default()
         },
     );
-    if opts.compact && !seq.is_empty() {
-        let flist: Vec<Fault> = faults.iter().copied().collect();
-        let r = motsim::compact::compact(netlist, &seq, &flist);
-        eprintln!(
-            "compaction removed {} vector(s) ({} -> {})",
-            r.removed,
-            seq.len(),
-            r.sequence.len()
-        );
-        seq = r.sequence;
-    }
     let outcome = FaultSim3::run(netlist, &seq, faults.iter().cloned());
     eprintln!(
         "generated {} vectors detecting {}/{} faults in {:?}",
@@ -813,7 +886,7 @@ fn cmd_tgen(netlist: &Netlist, opts: &Opts) {
         faults.len(),
         t0.elapsed()
     );
-    print!("{seq}");
+    write_stdout(format_args!("{seq}"));
 }
 
 fn cmd_synch(netlist: &Netlist, opts: &Opts) {
@@ -839,7 +912,7 @@ fn cmd_synch(netlist: &Netlist, opts: &Opts) {
                     "provably cannot find"
                 }
             );
-            print!("{seq}");
+            write_stdout(format_args!("{seq}"));
         }
         None => {
             eprintln!(
@@ -856,7 +929,7 @@ fn cmd_testeval(netlist: &Netlist, opts: &Opts) {
     let seq = TestSequence::random(netlist, opts.len, opts.seed);
     let t0 = Instant::now();
     let sos = SymbolicOutputSequence::compute(netlist, &seq, Some(opts.limit));
-    println!(
+    outln!(
         "symbolic output sequence built in {:?}: shared BDD size {}, prefix {}",
         t0.elapsed(),
         sos.bdd_size(),
@@ -865,7 +938,7 @@ fn cmd_testeval(netlist: &Netlist, opts: &Opts) {
     let good = reference_response(netlist, &seq, &vec![false; netlist.num_dffs()]);
     let t0 = Instant::now();
     match sos.evaluate(&good) {
-        TestVerdict::Consistent { witnesses } => println!(
+        TestVerdict::Consistent { witnesses } => outln!(
             "fault-free response accepted in {:?} ({witnesses} witness state(s))",
             t0.elapsed()
         ),
@@ -879,58 +952,18 @@ fn cmd_testeval(netlist: &Netlist, opts: &Opts) {
             flipped[t][j] = !flipped[t][j];
             if sos.evaluate(&flipped).is_faulty() {
                 bad = flipped;
-                println!("flipping frame {t}, output {j}:");
+                outln!("flipping frame {t}, output {j}:");
                 break 'outer;
             }
         }
     }
     match sos.evaluate(&bad) {
-        TestVerdict::Faulty { frame, output } => println!(
+        TestVerdict::Faulty { frame, output } => outln!(
             "corrupted response rejected (product collapsed at frame {frame}, output {output})"
         ),
         TestVerdict::Consistent { .. } => {
-            println!("no single-bit corruption is provably faulty on this circuit")
+            outln!("no single-bit corruption is provably faulty on this circuit")
         }
-    }
-}
-
-fn cmd_diagnose(netlist: &Netlist, opts: &Opts) {
-    let faults = FaultList::collapsed(netlist);
-    let seq = TestSequence::random(netlist, opts.len, opts.seed);
-    let t0 = Instant::now();
-    let dict = FaultDictionary::build(netlist, &seq, faults.iter().cloned());
-    println!(
-        "dictionary over {} faults / {} frames built in {:?}",
-        dict.len(),
-        dict.frames(),
-        t0.elapsed()
-    );
-    let classes = dict.equivalence_classes();
-    println!(
-        "{} indistinguishable group(s); largest has {} members",
-        classes.len(),
-        classes.first().map(|c| c.len()).unwrap_or(0)
-    );
-    // Inject the k-th detectable fault and diagnose from its signature.
-    let detectable: Vec<_> = dict.detectable().collect();
-    if detectable.is_empty() {
-        println!("no detectable faults to diagnose");
-        return;
-    }
-    let fault = detectable[opts.inject.min(detectable.len() - 1)];
-    let observed: BTreeSet<_> = dict.signature(fault).unwrap().clone();
-    let candidates = dict.diagnose(&observed);
-    println!(
-        "injected {}: {} observed failure(s) -> {} candidate(s):",
-        fault.display(netlist),
-        observed.len(),
-        candidates.len()
-    );
-    for c in candidates.iter().take(10) {
-        println!("  {}", c.display(netlist));
-    }
-    if candidates.len() > 10 {
-        println!("  … and {} more", candidates.len() - 10);
     }
 }
 
@@ -962,7 +995,7 @@ fn cmd_dot(netlist: &Netlist, opts: &Opts) {
         seq.len(),
         o.size()
     );
-    println!("{dot}");
+    outln!("{dot}");
 }
 
 fn cmd_vcd(netlist: &Netlist, opts: &Opts) {
@@ -985,34 +1018,8 @@ fn cmd_vcd(netlist: &Netlist, opts: &Opts) {
     } else {
         None
     };
-    print!("{}", dump_with_fault(netlist, &seq, fault, scope));
-}
-
-fn cmd_scoap(netlist: &Netlist) {
-    use motsim::testability::{Testability, INFINITY};
-    let t = Testability::analyze(netlist);
-    println!("{:<12} {:>8} {:>8} {:>8}", "net", "CC0", "CC1", "CO");
-    let show = |v: u32| {
-        if v >= INFINITY {
-            "inf".to_owned()
-        } else {
-            v.to_string()
-        }
-    };
-    for id in netlist.net_ids() {
-        println!(
-            "{:<12} {:>8} {:>8} {:>8}",
-            netlist.net(id).name(),
-            show(t.cc0(id)),
-            show(t.cc1(id)),
-            show(t.co(id))
-        );
-    }
-    let faults = FaultList::collapsed(netlist);
-    let untestable = faults.iter().filter(|f| t.is_untestable(**f)).count();
-    eprintln!(
-        "{} of {} collapsed faults are SCOAP-untestable",
-        untestable,
-        faults.len()
-    );
+    write_stdout(format_args!(
+        "{}",
+        dump_with_fault(netlist, &seq, fault, scope)
+    ));
 }

@@ -11,11 +11,13 @@
 //! motsim tables all [--quick]                everything
 //! ```
 //!
-//! Every row goes through the same option parser and engine-job set-up as
-//! `motsim sim3` and `motsim strategies`. The defaults are the paper's
-//! parameters (200 random vectors, 30,000-node limit); `--quick` trims the
-//! circuit lists and the sequence lengths so `all` finishes in under a
-//! minute.
+//! Every table takes the same options: `--len`, `--seed`, `--quick`,
+//! `--limit`, `--jobs`, `--units` and `--reorder`; any other option is an
+//! error. Every row goes through the same option parser, engine-job
+//! set-up and output writer as `motsim sim3` and `motsim strategies`. The
+//! defaults are the paper's parameters (200 random vectors, 30,000-node
+//! limit); `--quick` trims the circuit lists and the sequence lengths so
+//! `all` finishes in under a minute.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -114,12 +116,13 @@ fn table23_names(quick: bool) -> Vec<&'static str> {
 }
 
 fn table1(opts: &Opts) {
-    println!(
+    outln!(
         "\nTable I: influence of ID_X-red on three-valued fault simulation \
          ({} random vectors, seed {})",
-        opts.len, opts.seed
+        opts.len,
+        opts.seed
     );
-    println!(
+    outln!(
         "{} {} {} {} {} {} {} {}",
         cell("Circ.", 9),
         cell("(paper)", 10),
@@ -150,7 +153,7 @@ fn table1(opts: &Opts) {
         let (detected, t_x01) = sim3(faults.as_slice());
         let (_, t_x01p) = sim3(&rest);
 
-        println!(
+        outln!(
             "{} {} {} {} {} {} {} {}",
             cell(name, 9),
             cell(spec.paper_name, 10),
@@ -165,7 +168,7 @@ fn table1(opts: &Opts) {
 }
 
 fn print_table23_header() {
-    println!(
+    outln!(
         "{} {} {} {} | {} {} {} | {} {} {}",
         cell("Circ.", 9),
         cell("|T|", 5),
@@ -197,7 +200,7 @@ fn table23_row(name: &str, netlist: &Netlist, seq: &TestSequence, opts: &Opts) -
         let star = if outcome.is_approximate() { "*" } else { "" };
         format!("{star}{}", outcome.num_detected())
     };
-    println!(
+    outln!(
         "{} {} {} {} | {} {} {} | {} {} {}",
         cell(name, 9),
         cell(seq.len(), 5),
@@ -214,7 +217,7 @@ fn table23_row(name: &str, netlist: &Netlist, seq: &TestSequence, opts: &Opts) -
 }
 
 fn table2(opts: &Opts) {
-    println!(
+    outln!(
         "\nTable II: SOT vs rMOT vs MOT on the three-valued-undetected faults \
          ({} random vectors, {}-node limit)",
         opts.len,
@@ -230,7 +233,7 @@ fn table2(opts: &Opts) {
             *sum += d;
         }
     }
-    println!(
+    outln!(
         "{} Σ detected: SOT {}  rMOT {}  MOT {}",
         cell("", 9),
         sums[0],
@@ -240,7 +243,7 @@ fn table2(opts: &Opts) {
 }
 
 fn table3(opts: &Opts) {
-    println!("\nTable III: SOT vs rMOT vs MOT on deterministic (fault-oriented) sequences");
+    outln!("\nTable III: SOT vs rMOT vs MOT on deterministic (fault-oriented) sequences");
     print_table23_header();
     for name in table23_names(opts.quick) {
         let netlist = (spec(name).build)();
@@ -262,11 +265,11 @@ fn table3(opts: &Opts) {
 }
 
 fn table4(opts: &Opts) {
-    println!(
+    outln!(
         "\nTable IV: symbolic test evaluation ({}-node limit)",
         grouped(opts.limit)
     );
-    println!(
+    outln!(
         "{} {} {} {} {} {}",
         cell("Circ.", 9),
         cell("PO", 4),
@@ -289,7 +292,7 @@ fn table4(opts: &Opts) {
             "a genuine fault-free response must be accepted"
         );
         let star = if sos.prefix_len() > 0 { "*" } else { "" };
-        println!(
+        outln!(
             "{} {} {} {} {} {}",
             cell(name, 9),
             cell(netlist.num_outputs(), 4),
@@ -304,16 +307,16 @@ fn table4(opts: &Opts) {
 /// The Fig. 1–3 walkthroughs: tiny circuits where SOT provably fails and
 /// MOT succeeds, printed with their detection-function algebra.
 fn figs() {
-    println!("\nFig. 1: stuck-at fault not detected under SOT (uninitialized machines)");
+    outln!("\nFig. 1: stuck-at fault not detected under SOT (uninitialized machines)");
     // The fault corrupts the feedback so both machines stay uninitialized,
     // yet the response *sets* are disjoint.
     let n = motsim_circuits::fig1();
     let fault = Fault::stuck_at_0(Lead::stem(n.find("A").expect("fig1 has A")));
     let seq = TestSequence::new(2, vec![vec![true, false], vec![false, false]]);
-    println!("  circuit: O = (A ⊕ Q) ⊕ B, Q' = Q; fault A stuck-at-0; Z = ([1,0],[0,0])");
+    outln!("  circuit: O = (A ⊕ Q) ⊕ B, Q' = Q; fault A stuck-at-0; Z = ([1,0],[0,0])");
     run_strategies(&n, fault, &seq);
 
-    println!("\nFig. 2: SOT failure despite fault-free initialization");
+    outln!("\nFig. 2: SOT failure despite fault-free initialization");
     // A counter with synchronous clear: the sequence initializes the
     // fault-free machine (CLR=1) but a fault on the clear path keeps the
     // faulty machine unknown. Clear, count 4, clear again, count 8: the
@@ -328,17 +331,17 @@ fn figs() {
     vectors.push(vec![false, true]);
     vectors.extend(std::iter::repeat_n(vec![true, false], 8));
     let seq = TestSequence::new(2, vectors);
-    println!("  circuit: 3-bit counter; fault NCLR stuck-at-1 (clear defeated)");
-    println!("  sequence: CLR, count x4, CLR, count x8");
+    outln!("  circuit: 3-bit counter; fault NCLR stuck-at-1 (clear defeated)");
+    outln!("  sequence: CLR, count x4, CLR, count x8");
     run_strategies(&n, fault, &seq);
 
-    println!("\nFig. 3: the worked MOT example, D(x,y) = [x ≡ ȳ]·[x ≡ y] ≡ 0");
+    outln!("\nFig. 3: the worked MOT example, D(x,y) = [x ≡ ȳ]·[x ≡ y] ≡ 0");
     let n = motsim_circuits::fig3();
     let fault = Fault::stuck_at_0(Lead::stem(n.find("A").expect("fig3 has A")));
     let seq = TestSequence::new(1, vec![vec![true], vec![false]]);
-    println!("  circuit: O = XNOR(A, Q), Q' = Q; fault A stuck-at-0; Z = (1, 0)");
-    println!("  fault-free outputs: (x, x̄); faulty outputs: (ȳ, ȳ)");
-    println!("  D(x,y) = [x ≡ ȳ]·[x̄ ≡ ȳ] = [x ≡ ȳ]·[x ≡ y] ≡ 0");
+    outln!("  circuit: O = XNOR(A, Q), Q' = Q; fault A stuck-at-0; Z = (1, 0)");
+    outln!("  fault-free outputs: (x, x̄); faulty outputs: (ȳ, ȳ)");
+    outln!("  D(x,y) = [x ≡ ȳ]·[x̄ ≡ ȳ] = [x ≡ ȳ]·[x ≡ y] ≡ 0");
     run_strategies(&n, fault, &seq);
 }
 
@@ -348,7 +351,7 @@ fn run_strategies(netlist: &Netlist, fault: Fault, seq: &TestSequence) {
         let outcome = SymbolicFaultSim::new(netlist, strategy)
             .run(seq, [fault])
             .expect("no node limit");
-        println!(
+        outln!(
             "  {:>4}: {} ({} ms)",
             strategy.to_string(),
             if outcome.num_detected() == 1 {
@@ -366,11 +369,11 @@ fn run_strategies(netlist: &Netlist, fault: Fault, seq: &TestSequence) {
 /// runs one manager over all hard faults: a sharded job would charge the
 /// limit per unit and move the numbers (DESIGN.md §8).
 fn limits(opts: &Opts) {
-    println!(
+    outln!(
         "\nNode-limit sweep: hybrid MOT on g420 / g526 ({} random vectors)",
         opts.len
     );
-    println!(
+    outln!(
         "{} {} {} {} {} {}",
         cell("Circ.", 9),
         cell("limit", 8),
@@ -396,7 +399,7 @@ fn limits(opts: &Opts) {
                         .node_limit(Some(limit)),
                 )
                 .expect("hybrid never fails on a valid config");
-            println!(
+            outln!(
                 "{} {} {} {} {} {}",
                 cell(name, 9),
                 cell(limit, 8),

@@ -169,32 +169,6 @@ impl FaultList {
         }
     }
 
-    /// The *checkpoint* fault list: stuck-at faults on primary inputs and
-    /// fanout branches only.
-    ///
-    /// For combinational circuits the checkpoint theorem guarantees that a
-    /// test set detecting all checkpoint faults detects all stuck-at
-    /// faults; for sequential circuits the set is the customary heuristic
-    /// starting point (flip-flop outputs are included as sequential
-    /// "inputs" of the combinational core).
-    pub fn checkpoints(netlist: &Netlist) -> Self {
-        let complete = Self::complete(netlist);
-        let mut faults: Vec<Fault> = netlist
-            .leads()
-            .into_iter()
-            .filter(|l| match l.sink {
-                Some(_) => true,                              // fanout branch
-                None => !netlist.net(l.net).kind().is_gate(), // PI or FF output
-            })
-            .flat_map(|l| [Fault::stuck_at_0(l), Fault::stuck_at_1(l)])
-            .collect();
-        faults.sort();
-        FaultList {
-            faults,
-            complete_count: complete.complete_count,
-        }
-    }
-
     /// Number of representative faults (`|F|` in the tables).
     pub fn len(&self) -> usize {
         self.faults.len()
@@ -388,35 +362,6 @@ mod tests {
             "{}",
             collapsed.len()
         );
-    }
-
-    #[test]
-    fn checkpoints_are_pis_ffs_and_branches() {
-        let n = motsim_circuits::s27();
-        let cp = FaultList::checkpoints(&n);
-        for f in cp.iter() {
-            let ok = f.lead.sink.is_some() || !n.net(f.lead.net).kind().is_gate();
-            assert!(ok, "{} is not a checkpoint", f.display(&n));
-        }
-        assert!(cp.len() < FaultList::complete(&n).len());
-        assert!(!cp.is_empty());
-    }
-
-    #[test]
-    fn checkpoint_theorem_holds_on_c17() {
-        // Combinational circuit: a sequence detecting all checkpoint
-        // faults detects all collapsed faults.
-        use crate::pattern::TestSequence;
-        use crate::sim3::FaultSim3;
-        let n = motsim_circuits::c17();
-        let seq = TestSequence::random(&n, 64, 3);
-        let cp = FaultList::checkpoints(&n);
-        let cp_out = FaultSim3::run(&n, &seq, cp.iter().cloned());
-        if cp_out.num_detected() == cp.len() {
-            let all = FaultList::collapsed(&n);
-            let all_out = FaultSim3::run(&n, &seq, all.iter().cloned());
-            assert_eq!(all_out.num_detected(), all.len());
-        }
     }
 
     #[test]

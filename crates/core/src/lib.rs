@@ -37,11 +37,8 @@
 //! - [`synch`] — synchronizing-sequence search and profiling (exact,
 //!   BDD-based — succeeds on the circuit classes of \[11\] where any
 //!   three-valued search must fail),
-//! - [`dictionary`] — pass/fail fault dictionaries and diagnosis,
-//! - [`compact`] — test-sequence compaction by vector omission,
 //! - [`ordering`] — static BDD variable-ordering heuristics for the state
 //!   encoding,
-//! - [`testability`] — SCOAP controllability/observability measures \[6\],
 //! - [`vcd`] — Value Change Dump export of (faulty) simulations.
 //!
 //! # Quickstart
@@ -74,8 +71,6 @@
 //! # }
 //! ```
 
-pub mod compact;
-pub mod dictionary;
 pub mod engine_api;
 pub mod exhaustive;
 pub mod faults;
@@ -88,7 +83,6 @@ pub mod sim3;
 pub mod simb;
 pub mod symbolic;
 pub mod synch;
-pub mod testability;
 pub mod testeval;
 pub mod tgen;
 pub mod vcd;

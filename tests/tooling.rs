@@ -1,20 +1,14 @@
 //! Integration tests for the downstream tooling built on the fault
-//! simulator: dictionaries, diagnosis, synchronization, the known-reset
-//! baseline, compaction, ordering and SCOAP — and how they interact.
+//! simulator: synchronization, the known-reset baseline, variable
+//! ordering and VCD export — and how they interact.
 
-use std::collections::BTreeSet;
-
-use motsim::compact;
-use motsim::dictionary::FaultDictionary;
 use motsim::faults::{Fault, FaultList};
 use motsim::ordering::VarOrder;
 use motsim::pattern::TestSequence;
 use motsim::sim3::FaultSim3;
 use motsim::symbolic::{Strategy, SymbolicFaultSim};
 use motsim::synch::{self, SynchConfig};
-use motsim::testability::Testability;
 use motsim::vcd;
-use motsim::xred::XRedAnalysis;
 use motsim_logic::V3;
 
 /// Synchronizing first makes the three-valued simulator as strong as the
@@ -59,60 +53,6 @@ fn synchronized_prefix_closes_the_reset_gap() {
     );
 }
 
-/// A dictionary built on a compacted sequence diagnoses the same faults.
-#[test]
-fn compaction_preserves_dictionary_diagnosis() {
-    let n = motsim_circuits::s27();
-    let faults: Vec<Fault> = FaultList::collapsed(&n).into_iter().collect();
-    let seq = TestSequence::random(&n, 80, 12);
-    let r = compact::compact(&n, &seq, &faults);
-    assert!(r.detected >= r.baseline_detected);
-    let dict = FaultDictionary::build(&n, &r.sequence, faults.iter().cloned());
-    assert_eq!(dict.detectable().count(), r.detected);
-    for fault in dict.detectable().take(5).collect::<Vec<_>>() {
-        let observed: BTreeSet<_> = dict.signature(fault).unwrap().clone();
-        assert!(dict.diagnose(&observed).contains(&fault));
-    }
-}
-
-/// SCOAP-untestable faults are never detected by any engine we have.
-#[test]
-fn scoap_untestable_faults_stay_undetected() {
-    let n = motsim_circuits::suite::by_name("g386").unwrap();
-    let t = Testability::analyze(&n);
-    let faults = FaultList::collapsed(&n);
-    let untestable: Vec<Fault> = faults
-        .iter()
-        .copied()
-        .filter(|f| t.is_untestable(*f))
-        .collect();
-    if untestable.is_empty() {
-        return; // nothing to check on this circuit
-    }
-    let seq = TestSequence::random(&n, 80, 13);
-    let outcome = SymbolicFaultSim::new(&n, Strategy::Mot)
-        .run(&seq, untestable.iter().cloned())
-        .unwrap();
-    assert_eq!(
-        outcome.num_detected(),
-        0,
-        "SCOAP-untestable fault detected by MOT"
-    );
-}
-
-/// Checkpoint faults under-approximate the collapsed list but cover the
-/// same circuitry: every checkpoint fault is in the complete universe.
-#[test]
-fn checkpoint_list_is_consistent() {
-    let n = motsim_circuits::suite::by_name("g298").unwrap();
-    let complete: BTreeSet<Fault> = FaultList::complete(&n).into_iter().collect();
-    let cp = FaultList::checkpoints(&n);
-    for f in cp.iter() {
-        assert!(complete.contains(f));
-    }
-    assert!(cp.len() <= complete.len());
-}
-
 /// VCD dumps of the fault-free machine and of an undetected fault's
 /// machine agree on every primary-output line where the fault-free value
 /// is known — otherwise the fault would have been detected.
@@ -149,20 +89,5 @@ fn ordered_engines_agree_on_counter() {
             .run(&seq, faults.iter().cloned())
             .unwrap();
         assert_eq!(natural.num_detected(), ordered.num_detected());
-    }
-}
-
-/// The X-red partition and the SCOAP measures tell a consistent story:
-/// a fault whose site can never be excited per SCOAP is X-redundant for
-/// every sequence the static analysis covers.
-#[test]
-fn xred_static_covers_scoap_excitation_failures() {
-    let n = motsim_circuits::suite::by_name("g510").unwrap();
-    let t = Testability::analyze(&n);
-    let xred = XRedAnalysis::analyze_static(&n);
-    for f in FaultList::complete(&n).iter() {
-        if t.is_untestable(*f) {
-            assert!(xred.is_undetectable(*f), "{}", f.display(&n));
-        }
     }
 }
