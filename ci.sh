@@ -23,6 +23,12 @@ echo "==> benchmark package: build + test"
 # breaks it fails here.
 cargo test --release -q --manifest-path benchmark/Cargo.toml
 
+echo "==> examples"
+# Run every example, not just build it, so their assertions are checked.
+for example in quickstart counter_mot test_evaluation xred_speedup bench_file; do
+  cargo run --release -q --example "$example" >/dev/null
+done
+
 echo "==> smoke: parallel strategies on g27"
 cargo run --release -p motsim-cli --bin motsim -- strategies g27 --len 40 --jobs 2
 

@@ -22,8 +22,8 @@
 //!   return [`BddError::NodeLimit`] when the limit would be exceeded),
 //! - [monotone variable renaming](Bdd::rename) (a single linear traversal;
 //!   used for the MOT substitution `x_i → y_i` under an interleaved order),
-//! - [compose](Bdd::compose), [quantification](Bdd::exists), restriction,
-//!   evaluation, satisfy-count, DOT export,
+//! - existential [quantification](Bdd::exists), evaluation, satisfy-count,
+//!   a [satisfying assignment](Bdd::any_sat), DOT export,
 //! - **dynamic variable reordering by sifting** ([`BddManager::sift`]):
 //!   in-place Rudell-style adjacent-level swaps that preserve every
 //!   outstanding handle and the complement-edge canonical form, with
@@ -62,10 +62,8 @@ mod dot;
 mod error;
 mod handle;
 mod manager;
-mod sat;
 
 pub use dot::to_dot;
 pub use error::BddError;
 pub use handle::Bdd;
 pub use manager::{BddManager, BddStats, VarId};
-pub use sat::{equiv_product, product};

@@ -630,87 +630,6 @@ impl Inner {
         self.ite(f, g, g ^ 1)
     }
 
-    pub(crate) fn implies(&mut self, f: u32, g: u32) -> Result<u32, BddError> {
-        self.ite(f, g, TRUE)
-    }
-
-    pub(crate) fn restrict(&mut self, f: u32, var: u32, val: bool) -> Result<u32, BddError> {
-        let mut memo = HashMap::new();
-        self.restrict_rec(f, var, val, &mut memo)
-    }
-
-    // restrict/compose/rename commute with complement, so their recursions
-    // strip the complement bit, memoize on the regular edge, and re-apply
-    // the bit on the way out — halving the memo and sharing work between a
-    // function and its negation.
-    fn restrict_rec(
-        &mut self,
-        f: u32,
-        var: u32,
-        val: bool,
-        memo: &mut HashMap<u32, u32>,
-    ) -> Result<u32, BddError> {
-        let c = f & 1;
-        let n = f ^ c;
-        let lvl = self.level(n);
-        if lvl > self.var_level(var) {
-            return Ok(f); // var cannot occur below (ordered)
-        }
-        if let Some(&r) = memo.get(&n) {
-            return Ok(r ^ c);
-        }
-        let node = self.nodes[index_of(n)];
-        let r = if node.var == var {
-            if val {
-                node.high
-            } else {
-                node.low
-            }
-        } else {
-            let lo = self.restrict_rec(node.low, var, val, memo)?;
-            let hi = self.restrict_rec(node.high, var, val, memo)?;
-            self.make_node(node.var, lo, hi)?
-        };
-        memo.insert(n, r);
-        Ok(r ^ c)
-    }
-
-    pub(crate) fn compose(&mut self, f: u32, var: u32, g: u32) -> Result<u32, BddError> {
-        let mut memo = HashMap::new();
-        self.compose_rec(f, var, g, &mut memo)
-    }
-
-    fn compose_rec(
-        &mut self,
-        f: u32,
-        var: u32,
-        g: u32,
-        memo: &mut HashMap<u32, u32>,
-    ) -> Result<u32, BddError> {
-        let c = f & 1;
-        let n = f ^ c;
-        let lvl = self.level(n);
-        if lvl > self.var_level(var) {
-            return Ok(f);
-        }
-        if let Some(&r) = memo.get(&n) {
-            return Ok(r ^ c);
-        }
-        let node = self.nodes[index_of(n)];
-        let r = if node.var == var {
-            self.ite(g, node.high, node.low)?
-        } else {
-            let lo = self.compose_rec(node.low, var, g, memo)?;
-            let hi = self.compose_rec(node.high, var, g, memo)?;
-            // The composed children may depend on variables above node.var,
-            // so rebuild with ITE on the literal rather than make_node.
-            let lit = self.var_lit(node.var, true);
-            self.ite(lit, hi, lo)?
-        };
-        memo.insert(n, r);
-        Ok(r ^ c)
-    }
-
     /// Renames variables according to `map` (var → var), which must be
     /// strictly order-preserving on the support of `f` (checked by the
     /// caller). A single linear traversal.
@@ -719,6 +638,10 @@ impl Inner {
         self.rename_rec(f, map, &mut memo)
     }
 
+    // Renaming commutes with complement, so the recursion strips the
+    // complement bit, memoizes on the regular edge, and re-applies the bit
+    // on the way out — halving the memo and sharing work between a function
+    // and its negation.
     fn rename_rec(
         &mut self,
         f: u32,

@@ -4,14 +4,12 @@
 //! motsim stats       <circuit>
 //! motsim faults      <circuit> [--complete]
 //! motsim sim3        <circuit> [--len N] [--seed S] [--quick] [--no-xred] [--jobs N]
-//!                    [--units N] [--bdd-stats] [--trace FILE] [--trace-summary]
+//!                    [--units N] [--bdd-stats] [--trace FILE]
 //! motsim strategies  <circuit> [--len N] [--seed S] [--quick] [--limit NODES] [--jobs N]
 //!                    [--units N] [--reorder none|sift] [--bdd-stats] [--trace FILE]
-//!                    [--trace-summary]
 //! motsim xred        <circuit> [--len N] [--seed S] [--quick] [--static] [--jobs N]
-//!                    [--trace FILE] [--trace-summary]
+//!                    [--trace FILE]
 //! motsim tgen        <circuit> [--max-len N] [--seed S]
-//! motsim synch       <circuit> [--max-len N] [--seed S]
 //! motsim testeval    <circuit> [--len N] [--seed S] [--quick] [--limit NODES]
 //! motsim dot         <circuit> [--len N] [--seed S] [--quick] [--output J]
 //! motsim vcd         <circuit> [--len N] [--seed S] [--quick] [--inject K] [--all-nets]
@@ -49,7 +47,6 @@ use motsim::hybrid::HybridConfig;
 use motsim::pattern::TestSequence;
 use motsim::sim3::FaultSim3;
 use motsim::symbolic::Strategy;
-use motsim::synch::{self, SynchConfig};
 use motsim::testeval::{reference_response, SymbolicOutputSequence, TestVerdict};
 use motsim::tgen::{self, TgenConfig};
 use motsim::xred::XRedAnalysis;
@@ -79,20 +76,19 @@ const COMMANDS: &[(&str, &str, &str, &str)] = &[
     (
         "sim3",
         "<circuit>",
-        "--len --seed --quick --no-xred --jobs --units --bdd-stats --trace --trace-summary",
+        "--len --seed --quick --no-xred --jobs --units --bdd-stats --trace",
         "three-valued fault simulation (with ID_X-red pre-pass)",
     ),
     (
         "strategies",
         "<circuit>",
-        "--len --seed --quick --limit --jobs --units --reorder --bdd-stats --trace \
-         --trace-summary",
+        "--len --seed --quick --limit --jobs --units --reorder --bdd-stats --trace",
         "compare SOT / rMOT / MOT coverage (hybrid, node-limited)",
     ),
     (
         "xred",
         "<circuit>",
-        "--len --seed --quick --static --jobs --trace --trace-summary",
+        "--len --seed --quick --static --jobs --trace",
         "X-redundancy analysis (add --static for any-sequence mode)",
     ),
     (
@@ -100,12 +96,6 @@ const COMMANDS: &[(&str, &str, &str, &str)] = &[
         "<circuit>",
         "--max-len --seed",
         "generate a compact fault-oriented test sequence",
-    ),
-    (
-        "synch",
-        "<circuit>",
-        "--max-len --seed",
-        "search for a synchronizing sequence (symbolic)",
     ),
     (
         "testeval",
@@ -160,7 +150,7 @@ options (each command takes only those listed with it):
   --quick        --len defaults to 50; tables also skip their largest
                  circuits and cap Table III's sequences at 120 vectors
   --limit NODES  BDD node limit of hybrid runs and testeval (default 30000)
-  --max-len N    longest sequence tgen/synch may build (default 400)
+  --max-len N    longest sequence tgen may build (default 400)
   --complete     the complete fault list instead of the collapsed one
   --static       X-redundancy for any sequence, not just the random one
   --no-xred      skip the ID_X-red pre-pass
@@ -178,8 +168,6 @@ options (each command takes only those listed with it):
                  unique-table probe length, reorder and fallback counts
   --trace FILE   stream JSONL telemetry to FILE, byte-identical for every
                  --jobs value; validate with `motsim trace-check FILE`
-  --trace-summary
-                 print an event-count summary of that telemetry to stderr
   --cases N      fuzz cases per law (default 32)
   --max-dffs M   flip-flop cap of the fuzzed circuits, 1..=16 (default 5)";
 
@@ -224,7 +212,6 @@ struct Opts {
     bdd_stats: bool,
     reorder: motsim::hybrid::ReorderPolicy,
     trace: Option<String>,
-    trace_summary: bool,
     quick: bool,
     cases: usize,
     max_dffs: usize,
@@ -248,7 +235,6 @@ impl Default for Opts {
             bdd_stats: false,
             reorder: motsim::hybrid::ReorderPolicy::None,
             trace: None,
-            trace_summary: false,
             quick: false,
             cases: 32,
             max_dffs: 5,
@@ -324,7 +310,6 @@ fn parse_opts(cmd: &str, accepted: &str, args: &[String]) -> Opts {
             "--all-nets" => o.all_nets = true,
             "--bdd-stats" => o.bdd_stats = true,
             "--trace" => o.trace = Some(value(&mut args, opt, "a file path").to_owned()),
-            "--trace-summary" => o.trace_summary = true,
             "--quick" => o.quick = true,
             "--reorder" => {
                 o.reorder = match value(&mut args, opt, "`none` or `sift`") {
@@ -410,105 +395,39 @@ fn run_job(job: &Job, sink: &mut dyn TraceSink) -> JobResult {
     motsim_engine::run_traced(job, sink).unwrap_or_else(|e| die(&format!("engine failure: {e}")))
 }
 
-/// The CLI's composite sink behind `--trace` / `--trace-summary`: streams
-/// JSONL to a file and/or aggregates an event-count summary.
-struct TraceOut {
-    jsonl: Option<JsonlSink<std::io::BufWriter<std::fs::File>>>,
-    summary: Option<TraceSummary>,
-}
-
-#[derive(Default)]
-struct TraceSummary {
-    events: usize,
-    sym_frames: usize,
-    tv_frames: usize,
-    node_limits: usize,
-    sift_passes: usize,
-    sift_shed: usize,
-    fallback_phases: usize,
-    fallback_frames: usize,
-    units: usize,
-    peak: usize,
-}
+/// The CLI's sink behind `--trace`: streams JSONL to the file, or, without
+/// `--trace`, is disabled and costs nothing.
+struct TraceOut(Option<JsonlSink<std::io::BufWriter<std::fs::File>>>);
 
 impl TraceOut {
-    /// Builds the sink the options ask for; a disabled sink costs nothing.
+    /// Creates the `--trace` file, if one was given.
     fn from_opts(opts: &Opts) -> TraceOut {
-        let jsonl = opts.trace.as_deref().map(|path| {
+        TraceOut(opts.trace.as_deref().map(|path| {
             let file = std::fs::File::create(path)
                 .unwrap_or_else(|e| die(&format!("cannot create `{path}`: {e}")));
             JsonlSink::new(std::io::BufWriter::new(file))
-        });
-        TraceOut {
-            jsonl,
-            summary: opts.trace_summary.then(TraceSummary::default),
-        }
+        }))
     }
 
-    /// Flushes the JSONL file and prints the summary. Trace I/O errors are
-    /// fatal only here, after the simulation finished.
+    /// Flushes the JSONL file. Trace I/O errors are fatal only here, after
+    /// the simulation finished.
     fn finish(self, opts: &Opts) {
-        if let Some(jsonl) = self.jsonl {
-            if let Err(e) = jsonl.finish() {
-                let path = opts.trace.as_deref().unwrap_or("?");
-                die(&format!("writing trace `{path}`: {e}"));
-            }
-        }
-        if let Some(s) = self.summary {
-            eprintln!(
-                "trace: {} event(s), {} unit(s); {} symbolic frame(s) (peak {} node(s)), \
-                 {} three-valued frame(s) in {} fallback phase(s); \
-                 {} node-limit hit(s), {} sift pass(es) shedding {} node(s)",
-                s.events,
-                s.units,
-                s.sym_frames,
-                s.peak,
-                s.tv_frames,
-                s.fallback_phases,
-                s.node_limits,
-                s.sift_passes,
-                s.sift_shed,
-            );
-            if s.fallback_frames > 0 {
-                eprintln!(
-                    "trace: fallback spans cover {} frame(s) total",
-                    s.fallback_frames
-                );
-            }
+        if let Some(Err(e)) = self.0.map(JsonlSink::finish) {
+            let path = opts.trace.as_deref().unwrap_or("?");
+            die(&format!("writing trace `{path}`: {e}"));
         }
     }
 }
 
 impl TraceSink for TraceOut {
     fn event(&mut self, event: &TraceEvent) {
-        if let Some(jsonl) = &mut self.jsonl {
+        if let Some(jsonl) = &mut self.0 {
             jsonl.event(event);
-        }
-        if let Some(s) = &mut self.summary {
-            s.events += 1;
-            match *event {
-                TraceEvent::SymFrame { peak, .. } => {
-                    s.sym_frames += 1;
-                    s.peak = s.peak.max(peak);
-                }
-                TraceEvent::TvFrame { .. } => s.tv_frames += 1,
-                TraceEvent::NodeLimit { .. } => s.node_limits += 1,
-                TraceEvent::SiftPass { shed, .. } => {
-                    s.sift_passes += 1;
-                    s.sift_shed += shed;
-                }
-                TraceEvent::FallbackExit { frames, .. } => {
-                    s.fallback_phases += 1;
-                    s.fallback_frames += frames;
-                }
-                TraceEvent::UnitStart { .. } => s.units += 1,
-                _ => {}
-            }
         }
     }
 
     fn enabled(&self) -> bool {
-        self.jsonl.is_some() || self.summary.is_some()
+        self.0.is_some()
     }
 }
 
@@ -590,7 +509,6 @@ fn main() {
         "strategies" => cmd_strategies(&netlist(), &opts),
         "xred" => cmd_xred(&netlist(), &opts),
         "tgen" => cmd_tgen(&netlist(), &opts),
-        "synch" => cmd_synch(&netlist(), &opts),
         "testeval" => cmd_testeval(&netlist(), &opts),
         "dot" => cmd_dot(&netlist(), &opts),
         "vcd" => cmd_vcd(&netlist(), &opts),
@@ -887,42 +805,6 @@ fn cmd_tgen(netlist: &Netlist, opts: &Opts) {
         t0.elapsed()
     );
     write_stdout(format_args!("{seq}"));
-}
-
-fn cmd_synch(netlist: &Netlist, opts: &Opts) {
-    let t0 = Instant::now();
-    match synch::find_synchronizing_sequence(
-        netlist,
-        SynchConfig {
-            max_len: opts.max_len.min(256),
-            seed: opts.seed,
-            ..SynchConfig::default()
-        },
-    ) {
-        Some(seq) => {
-            let p = synch::profile(netlist, &seq);
-            eprintln!(
-                "synchronizing sequence of length {} found in {:?} \
-                 (three-valued logic {} it)",
-                seq.len(),
-                t0.elapsed(),
-                if p.synchronizes_v3() {
-                    "also finds"
-                } else {
-                    "provably cannot find"
-                }
-            );
-            write_stdout(format_args!("{seq}"));
-        }
-        None => {
-            eprintln!(
-                "no synchronizing sequence found within {} frames ({:?})",
-                opts.max_len.min(256),
-                t0.elapsed()
-            );
-            exit(1);
-        }
-    }
 }
 
 fn cmd_testeval(netlist: &Netlist, opts: &Opts) {

@@ -352,8 +352,7 @@ fn run_strategies(netlist: &Netlist, fault: Fault, seq: &TestSequence) {
             .run(seq, [fault])
             .expect("no node limit");
         outln!(
-            "  {:>4}: {} ({} ms)",
-            strategy.to_string(),
+            "  {strategy:>4}: {} ({} ms)",
             if outcome.num_detected() == 1 {
                 "DETECTED"
             } else {

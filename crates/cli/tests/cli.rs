@@ -91,15 +91,6 @@ fn unknown_circuit_fails() {
     assert!(!out.status.success());
 }
 
-#[test]
-fn synch_fails_gracefully_on_unsynchronizable() {
-    // The partial counter's upper bits never synchronize.
-    let out = motsim(&["synch", "g208", "--max-len", "16"]);
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("no synchronizing sequence"));
-}
-
 /// Writes `content` to a fresh temp file and runs `trace-check` on it,
 /// returning (success, stderr).
 fn trace_check(name: &str, content: &str) -> (bool, String) {
@@ -237,6 +228,11 @@ fn arguments_a_command_does_not_read_are_rejected() {
         (&["sim3", "g27", "g208"], "`sim3` does not take `g208`"),
         (&["diagnose", "s27"], "unknown command `diagnose`"),
         (&["scoap", "s27"], "unknown command `scoap`"),
+        (&["synch", "g208"], "unknown command `synch`"),
+        (
+            &["sim3", "g27", "--trace-summary"],
+            "`sim3` does not take `--trace-summary`",
+        ),
     ] {
         assert_rejected(args, msg);
     }

@@ -31,15 +31,8 @@
 //!    [`exhaustive`] brute-force oracle that validates the symbolic engines
 //!    on small circuits, and as a fast pattern evaluator.
 //!
-//! Around the pipeline, the crate ships the downstream tooling a fault
-//! simulator enables:
-//!
-//! - [`synch`] — synchronizing-sequence search and profiling (exact,
-//!   BDD-based — succeeds on the circuit classes of \[11\] where any
-//!   three-valued search must fail),
-//! - [`ordering`] — static BDD variable-ordering heuristics for the state
-//!   encoding,
-//! - [`vcd`] — Value Change Dump export of (faulty) simulations.
+//! Around the pipeline, [`vcd`] exports (faulty) simulations as Value
+//! Change Dumps.
 //!
 //! # Quickstart
 //!
@@ -76,13 +69,11 @@ pub mod exhaustive;
 pub mod faults;
 pub mod frame;
 pub mod hybrid;
-pub mod ordering;
 pub mod pattern;
 pub mod report;
 pub mod sim3;
 pub mod simb;
 pub mod symbolic;
-pub mod synch;
 pub mod testeval;
 pub mod tgen;
 pub mod vcd;

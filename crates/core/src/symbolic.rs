@@ -57,7 +57,7 @@ impl Strategy {
 
 impl std::fmt::Display for Strategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             Strategy::Sot => "SOT",
             Strategy::Rmot => "rMOT",
             Strategy::Mot => "MOT",
@@ -286,32 +286,29 @@ impl<'a> SymbolicFaultSim<'a> {
     /// For MOT the state variables are interleaved `x_1 < y_1 < x_2 < y_2 …`
     /// so that the rename `x → y` is monotone.
     pub fn new(netlist: &'a Netlist, strategy: Strategy) -> Self {
-        Self::with_order(
-            netlist,
-            strategy,
-            &crate::ordering::VarOrder::natural(netlist),
-        )
+        let natural: Vec<usize> = (0..netlist.num_dffs()).collect();
+        Self::with_order(netlist, strategy, &natural)
     }
 
     /// Creates a simulator whose BDD position `k` encodes flip-flop
-    /// `order[k]` — see [`crate::ordering::VarOrder`] for structural
-    /// ordering heuristics. The interleaving of `x`/`y` pairs (for MOT) is
+    /// `order[k]`. The interleaving of `x`/`y` pairs (for MOT) is
     /// unaffected.
     ///
     /// # Panics
     ///
     /// Panics if `order` is not a permutation of the circuit's flip-flops.
-    pub fn with_order(
-        netlist: &'a Netlist,
-        strategy: Strategy,
-        order: &crate::ordering::VarOrder,
-    ) -> Self {
+    pub fn with_order(netlist: &'a Netlist, strategy: Strategy, order: &[usize]) -> Self {
         let m = netlist.num_dffs();
-        assert!(order.is_valid(m), "order must be a permutation of 0..{m}");
+        let mut seen = vec![false; m];
+        let is_permutation = order.len() == m
+            && order
+                .iter()
+                .all(|&ff| ff < m && !std::mem::replace(&mut seen[ff], true));
+        assert!(is_permutation, "order must be a permutation of 0..{m}");
         let mgr = BddManager::new();
         let mut xvars = vec![VarId::from_index(0); m];
         let mut rename_map = Vec::new();
-        for &ff in order.as_slice() {
+        for &ff in order {
             let x = mgr.new_var().top_var().expect("fresh literal");
             xvars[ff] = x;
             if strategy == Strategy::Mot {
@@ -646,11 +643,7 @@ impl FrameCtx<'_> {
             let oy = o.rename(self.rename_map)?;
             o.equiv(&oy)
         };
-        let e = build().or_else(|_| {
-            self.mgr.gc();
-            build()
-        });
-        match e {
+        match retry_after_gc(self.mgr, build) {
             Ok(e) => {
                 self.e_terms[j] = Some(e.clone());
                 Ok(e)
@@ -674,12 +667,9 @@ impl FrameCtx<'_> {
         }
         let mut acc = self.mgr.one();
         for j in 0..self.netlist.num_outputs() {
-            let r = self.e_term(j).and_then(|e| {
-                acc.and(&e).or_else(|_| {
-                    self.mgr.gc();
-                    acc.and(&e)
-                })
-            });
+            let r = self
+                .e_term(j)
+                .and_then(|e| retry_after_gc(self.mgr, || acc.and(&e)));
             match r {
                 Ok(next) => acc = next,
                 Err(err) => {
@@ -691,6 +681,18 @@ impl FrameCtx<'_> {
         self.e_all = Some(acc.clone());
         Ok(acc)
     }
+}
+
+/// Runs `op`; if it hits the node limit, collects garbage and runs it once
+/// more.
+fn retry_after_gc<T>(
+    mgr: &BddManager,
+    mut op: impl FnMut() -> Result<T, BddError>,
+) -> Result<T, BddError> {
+    op().or_else(|_| {
+        mgr.gc();
+        op()
+    })
 }
 
 /// Multiplies `term` into `det`; on node-limit pressure retries after a GC
@@ -706,19 +708,10 @@ fn and_term_or_skip(
         *skipped += 1;
         return det.clone();
     };
-    match det.and(&term) {
-        Ok(r) => r,
-        Err(_) => {
-            mgr.gc();
-            match det.and(&term) {
-                Ok(r) => r,
-                Err(_) => {
-                    *skipped += 1;
-                    det.clone()
-                }
-            }
-        }
-    }
+    retry_after_gc(mgr, || det.and(&term)).unwrap_or_else(|_| {
+        *skipped += 1;
+        det.clone()
+    })
 }
 
 /// One fault's frame: event-driven propagation ([`Propagator`]), then the
@@ -759,10 +752,7 @@ fn simulate_fault_frame(
                 if fv == ov || !ov.is_const() {
                     continue; // term is 1 or not admissible for rMOT
                 }
-                let term = ov.equiv(fv).or_else(|_| {
-                    mgr.gc();
-                    ov.equiv(fv)
-                });
+                let term = retry_after_gc(mgr, || ov.equiv(fv));
                 det = and_term_or_skip(mgr, &det, term, skipped);
                 if det.is_false() {
                     detection = Some(Detection {
@@ -794,13 +784,9 @@ fn simulate_fault_frame(
             } else {
                 for (j, &o) in netlist.outputs().iter().enumerate() {
                     let term = if changed.contains(&j) {
-                        let build = || -> Result<Bdd, BddError> {
+                        retry_after_gc(mgr, || {
                             let fy = pass.value(o).rename(frame_ctx.rename_map)?;
                             values[o.index()].equiv(&fy)
-                        };
-                        build().or_else(|_| {
-                            mgr.gc();
-                            build()
                         })
                     } else {
                         frame_ctx.e_term(j)
@@ -1099,31 +1085,24 @@ mod tests {
 
     #[test]
     fn variable_order_does_not_change_verdicts() {
-        use crate::ordering::VarOrder;
         let n = motsim_circuits::generators::counter(6);
         let seq = TestSequence::random(&n, 20, 4);
         let faults = FaultList::collapsed(&n);
         let baseline = SymbolicFaultSim::new(&n, Strategy::Mot)
             .run(&seq, faults.iter().cloned())
             .unwrap();
-        for order in [VarOrder::dfs(&n), VarOrder::connectivity(&n)] {
-            let outcome = SymbolicFaultSim::with_order(&n, Strategy::Mot, &order)
-                .run(&seq, faults.iter().cloned())
-                .unwrap();
-            for (a, b) in baseline.results.iter().zip(&outcome.results) {
-                assert_eq!(a.detection.is_some(), b.detection.is_some());
-            }
-        }
+        let reversed: Vec<usize> = (0..n.num_dffs()).rev().collect();
+        let outcome = SymbolicFaultSim::with_order(&n, Strategy::Mot, &reversed)
+            .run(&seq, faults.iter().cloned())
+            .unwrap();
+        assert_eq!(baseline.results, outcome.results);
     }
 
     #[test]
     #[should_panic(expected = "permutation")]
     fn with_order_validates() {
-        use crate::ordering::VarOrder;
         let n = motsim_circuits::s27();
-        let c6 = motsim_circuits::generators::counter(6);
-        let order = VarOrder::natural(&c6); // wrong size
-        let _ = SymbolicFaultSim::with_order(&n, Strategy::Sot, &order);
+        let _ = SymbolicFaultSim::with_order(&n, Strategy::Sot, &[0, 1, 1]);
     }
 
     #[test]
@@ -1131,5 +1110,6 @@ mod tests {
         assert_eq!(Strategy::Sot.to_string(), "SOT");
         assert_eq!(Strategy::Rmot.to_string(), "rMOT");
         assert_eq!(Strategy::Mot.to_string(), "MOT");
+        assert_eq!(format!("{:>4}", Strategy::Sot), " SOT");
     }
 }
